@@ -47,18 +47,19 @@ cargo run --release -p vpsim-bench --bin bench_chaos -- \
 # adversarial lines are rejected.
 cargo test --release -q -p vpsim-bench --test fuzz_validation
 
-# Torture (quick): kill/resume the reference campaign at >=20 seeded
-# interruption points, sweep seeded hostile sink-I/O fault plans
-# (including a simulated crash), cancel a deliberately hung cell within
-# its hard deadline, and abuse the process-isolated fleet (SIGKILL,
-# poisoned cells, muted heartbeats, zombie sweep). Every path must
-# converge bit-identically.
-cargo test --release -q -p vpsim-harness --test torture
-
-# Overload smoke: a slowloris peer trickling half a request must not
-# block a parallel /healthz and must be evicted by the read timeout;
-# connections and submissions past the caps are shed with 503.
-cargo test --release -q -p vpsim-serve --test serve_integration -- slowloris shed
+# Repeat loop: the torture binary (kill/resume at >=20 seeded
+# interruption points, hostile sink-I/O fault plans, hung cells
+# cancelled within their deadlines, SIGKILLed/poisoned/wedged fleet
+# workers, zombie sweep) and the whole serve integration binary
+# (slowloris, 503 shedding, shutdown and restart) run 10 times back to
+# back, each under a 120 s timeout. A hang or a flake on any run fails
+# CI: every path must converge bit-identically, every time.
+for _ in $(seq 1 10); do
+    timeout 120 cargo test --release -q -p vpsim-harness --test torture
+done
+for _ in $(seq 1 10); do
+    timeout 120 cargo test --release -q -p vpsim-serve --test serve_integration
+done
 
 # Serve smoke: boot a real daemon on an ephemeral port, submit two
 # campaigns, stream one to completion, check progress and metrics,

@@ -133,7 +133,7 @@ impl Default for ExperimentConfig {
 const CHAOS_SEED_SALT: u64 = 0xc4a0_5eed_0bad_f00d;
 
 /// A trial was abandoned because its [`CancelToken`] was tripped
-/// mid-run (watchdog deadline, campaign budget). Interruption is a
+/// mid-run (hard job deadline, campaign budget). Interruption is a
 /// supervision event, not a result: the trial produced no observation
 /// and may be retried on a fresh machine with identical seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -587,7 +587,7 @@ impl CellPlan {
     }
 
     /// [`CellPlan::run_pair`] under an optional [`CancelToken`]: the
-    /// worker pool's watchdog can abandon a hung pair mid-simulation.
+    /// campaign supervisor can abandon a hung pair mid-simulation.
     /// Seeds are unchanged, so a retried pair reproduces the original
     /// bit for bit.
     ///

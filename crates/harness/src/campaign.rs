@@ -13,10 +13,10 @@ use vpsec::experiment::{
 use vpsim_pipeline::SchedStats;
 
 use crate::exec::{Exec, WorkerBackend};
-use crate::fleet;
 use crate::io::{RealIo, SinkIo};
-use crate::pool::{self, JobFailure, PoolStats};
+use crate::ledger::{Batch, JobFailure};
 use crate::sink::{JobRecord, Manifest};
+use crate::{fleet, pool};
 
 /// One named evaluation cell of a campaign.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ pub enum CellError {
         /// The panic message.
         message: String,
     },
-    /// A job of the cell was cancelled by the watchdog on its final
+    /// A job of the cell was cancelled by the supervisor on its final
     /// attempt (hard [`Exec::job_deadline`](crate::Exec) or campaign
     /// deadline budget exhausted).
     JobTimedOut {
@@ -156,7 +156,7 @@ pub struct CampaignStats {
     pub quarantined_cycles: usize,
     /// Jobs that panicked.
     pub panics: usize,
-    /// Watchdog cancellations delivered (hard-deadline or campaign
+    /// Supervisor cancellations delivered (hard-deadline or campaign
     /// budget trips observed by a running attempt).
     pub cancelled: usize,
     /// Cancelled attempts re-queued with exponential backoff.
@@ -604,19 +604,17 @@ impl Campaign {
             .cloned()
             .unwrap_or_default();
 
-        // The campaign-global job list: (global index, cell, trial).
-        let mut job_index: HashMap<(usize, usize), usize> = HashMap::with_capacity(jobs_total);
-        let mut pending = Vec::new();
-        for (cell, (_, plan)) in self.cells.iter().enumerate() {
-            let Some(plan) = plan else { continue };
-            for trial in 0..plan.trials() {
-                let index = job_index.len();
-                job_index.insert((cell, trial), index);
-                if !resumed.contains_key(&(cell, trial)) {
-                    pending.push((index, cell, trial));
-                }
-            }
-        }
+        // The jobs still to run, as (cell, trial) in canonical order.
+        let pending: Vec<(usize, usize)> = self
+            .cells
+            .iter()
+            .enumerate()
+            .flat_map(|(cell, (_, plan))| {
+                let trials = plan.as_ref().map_or(0, CellPlan::trials);
+                (0..trials).map(move |trial| (cell, trial))
+            })
+            .filter(|job| !resumed.contains_key(job))
+            .collect();
 
         // Replay resumed records to the observer first, in canonical
         // (cell, trial) order, so a streaming consumer sees an
@@ -629,41 +627,40 @@ impl Campaign {
             }
         }
 
-        let plans: Vec<Option<CellPlan>> = self.cells.iter().map(|(_, p)| p.clone()).collect();
-        let stats = PoolStats::default();
-        let on_done = |cell: usize, trial: usize, done: &pool::JobDone| {
-            let rec = JobRecord {
-                cell,
-                trial,
-                pair: done.pair,
-                wall_nanos: done.wall_nanos,
-                attempts: done.attempts,
-            };
+        let plans = self.plans();
+        let on_done = |rec: &JobRecord| {
+            let sink_start = Instant::now();
             if let Some(m) = &manifest {
-                m.record(rec);
+                m.record(*rec);
             }
             if let Some(observer) = &exec.observer {
-                observer.job_done(&rec, false);
+                observer.job_done(rec, false);
+            }
+            if let Some(m) = &exec.metrics {
+                m.sink_seconds.observe(sink_start.elapsed().as_secs_f64());
             }
         };
-        let batch = pool::Batch {
+        let batch = Batch {
             campaign: &self.name,
             plans: &plans,
             pending: &pending,
             total_jobs: jobs_total,
             resumed: resumed.len(),
         };
-        let results = match &exec.backend {
-            WorkerBackend::Thread => pool::run_jobs(&batch, exec, &stats, &on_done),
+        let (results, run_stats) = match &exec.backend {
+            WorkerBackend::Thread => pool::run_jobs(&batch, exec, &on_done),
             WorkerBackend::Process(cfg) => fleet::run_jobs(
                 &batch,
                 exec,
                 cfg,
                 self.spec_json.as_deref().expect("checked above"),
-                &stats,
                 &on_done,
             ),
         };
+
+        // Results come back in `pending` order, which is the canonical
+        // order the reduction below walks.
+        let mut results = results.into_iter();
 
         // Reduce each cell in trial order; execution order is irrelevant.
         let mut sim_cycles = 0u64;
@@ -680,36 +677,30 @@ impl Campaign {
             let mut pairs: Vec<PairOutcome> = Vec::with_capacity(plan.trials());
             let mut error = None;
             for trial in 0..plan.trials() {
-                if let Some(rec) = resumed.get(&(cell, trial)) {
-                    pairs.push(rec.pair);
-                    continue;
-                }
-                let index = job_index[&(cell, trial)];
-                match &results[index] {
-                    Some(Ok(done)) => pairs.push(done.pair),
-                    Some(Err(JobFailure::Panic(message))) => {
-                        error = Some(CellError::JobPanicked {
-                            trial,
-                            message: message.clone(),
-                        });
-                        break;
+                let result = match resumed.get(&(cell, trial)) {
+                    Some(rec) => Ok(*rec),
+                    None => results
+                        .next()
+                        .flatten()
+                        .expect("every pending job resolves"),
+                };
+                // The first failing trial names the cell's error.
+                error = match (error, result) {
+                    (None, Err(JobFailure::Panic(message))) => {
+                        Some(CellError::JobPanicked { trial, message })
                     }
-                    Some(Err(JobFailure::Deadline { attempts })) => {
-                        error = Some(CellError::JobTimedOut {
-                            trial,
-                            attempts: *attempts,
-                        });
-                        break;
+                    (None, Err(JobFailure::Deadline { attempts })) => {
+                        Some(CellError::JobTimedOut { trial, attempts })
                     }
-                    Some(Err(JobFailure::Poisoned { crashes })) => {
-                        error = Some(CellError::Poisoned {
-                            trial,
-                            crashes: *crashes,
-                        });
-                        break;
+                    (None, Err(JobFailure::Poisoned { crashes })) => {
+                        Some(CellError::Poisoned { trial, crashes })
                     }
-                    None => unreachable!("pending job {index} has no result"),
-                }
+                    (error, Ok(rec)) => {
+                        pairs.push(rec.pair);
+                        error
+                    }
+                    (error, Err(_)) => error,
+                };
             }
             let outcome = match error {
                 Some(e) => CellOutcome::Failed(e),
@@ -732,24 +723,12 @@ impl Campaign {
             .filter(|c| matches!(c.outcome, CellOutcome::Failed(_)))
             .count() as u64;
         let stats = CampaignStats {
-            jobs_total,
-            jobs_run: stats.jobs_run.load(Ordering::Relaxed) as usize,
-            jobs_resumed: resumed.len(),
-            retries: stats.retries.load(Ordering::Relaxed) as usize,
-            quarantined_wall: stats.quarantined_wall.load(Ordering::Relaxed) as usize,
-            quarantined_cycles: stats.quarantined_cycles.load(Ordering::Relaxed) as usize,
-            panics: stats.panics.load(Ordering::Relaxed) as usize,
-            cancelled: stats.cancelled.load(Ordering::Relaxed) as usize,
-            backoff_retries: stats.backoff_retries.load(Ordering::Relaxed) as usize,
-            deadline_failed: stats.deadline_failed.load(Ordering::Relaxed) as usize,
             torn_lines: manifest.as_ref().map_or(0, Manifest::torn_lines),
             io_faults: manifest.as_ref().map_or(0, Manifest::io_faults),
-            worker_crashes: stats.worker_crashes.load(Ordering::Relaxed) as usize,
-            worker_respawns: stats.worker_respawns.load(Ordering::Relaxed) as usize,
-            shed_requests: 0,
             wall_time: started.elapsed(),
             sim_cycles,
             sched,
+            ..run_stats
         };
         if let Some(health) = &exec.health {
             health.absorb(&stats, failed_cells);

@@ -43,7 +43,7 @@ pub enum WorkerBackend {
 /// [`Registry`] under a `campaign="<name>"` label so one daemon can
 /// expose many concurrent campaigns side by side.
 ///
-/// The handles are updated by the worker pool as jobs finish; they are
+/// The handles are updated by the job ledger as jobs finish; they are
 /// telemetry only and never feed back into results. Wall-clock phases
 /// are observed per job attempt: time spent waiting for work
 /// (`queue_wait_seconds`), simulating (`run_seconds`), persisting and
@@ -171,8 +171,8 @@ pub trait JobObserver: Send + Sync + std::fmt::Debug {
 }
 
 /// How a [`Campaign`](crate::Campaign) executes: worker count, resume
-/// directory, observability, the watchdog budgets, and the supervision
-/// plane (hard deadlines, backoff, sink I/O).
+/// directory, observability, the job budgets, and the supervision plane
+/// (hard deadlines, backoff, sink I/O).
 ///
 /// The execution policy never changes *what* a campaign computes — only
 /// how fast, how observably, and how fault-tolerantly. Results are
@@ -183,15 +183,17 @@ pub trait JobObserver: Send + Sync + std::fmt::Debug {
 /// * **soft** ([`Exec::job_wall_budget`]): the job is left to finish,
 ///   its result is discarded, and it is retried — the legacy
 ///   quarantine path, right when overruns are mild host contention;
-/// * **hard** ([`Exec::job_deadline`]): the watchdog trips the job's
+/// * **hard** ([`Exec::job_deadline`]): the supervisor trips the job's
 ///   [`CancelToken`](vpsim_pipeline::CancelToken) mid-simulation, so a
 ///   genuinely hung job is abandoned with bounded latency. Retried
 ///   attempts get a doubled deadline ([`Exec::retry_backoff`] spacing);
 ///   a cancelled final attempt fails the cell as timed out.
 #[derive(Debug, Clone)]
 pub struct Exec {
-    /// Worker threads. `1` runs jobs inline on the calling thread;
-    /// `0` resolves to the machine's available parallelism.
+    /// Worker threads, spawned per run while the calling thread
+    /// supervises; `0` resolves to the machine's available parallelism.
+    /// The process backend sizes its fleet from [`FleetConfig::workers`]
+    /// instead.
     pub jobs: usize,
     /// Directory for the resumable manifest. When set, every finished
     /// job is appended to `<dir>/<campaign-name>.jsonl` as it completes,
@@ -213,13 +215,13 @@ pub struct Exec {
     /// simulated cycles is flagged as a runaway in the campaign stats
     /// (cycle counts are deterministic, so it is never retried).
     pub cycle_budget: u64,
-    /// Hard per-job deadline. When set, the watchdog trips the running
+    /// Hard per-job deadline. When set, the supervisor trips the running
     /// attempt's cancel token once it exceeds `deadline << attempt`
     /// (doubling per retry), aborting the simulation mid-run instead of
     /// waiting for it. `None` (the default) keeps the legacy
     /// quarantine-on-completion behaviour only.
     pub job_deadline: Option<Duration>,
-    /// Per-campaign wall-clock budget. When exceeded, the watchdog
+    /// Per-campaign wall-clock budget. When exceeded, the supervisor
     /// cancels every in-flight job and the remaining queue drains as
     /// timed-out failures — the campaign still returns a complete
     /// (partially failed) outcome rather than hanging.
@@ -236,7 +238,7 @@ pub struct Exec {
     /// this shared ledger — the `--strict` flag of the report bins
     /// checks it after running every table.
     pub health: Option<Arc<RunHealth>>,
-    /// External cancellation: when the token trips, the watchdog
+    /// External cancellation: when the token trips, the supervisor
     /// cancels every in-flight job and drains the remaining queue as
     /// timed-out failures — the same graceful teardown as
     /// [`Exec::campaign_deadline`], but on demand (serving-plane
@@ -245,7 +247,7 @@ pub struct Exec {
     /// When set, every job completion is reported to this observer as
     /// it happens — the serving plane streams results from here.
     pub observer: Option<Arc<dyn JobObserver>>,
-    /// When set, the worker pool updates these live metric handles
+    /// When set, the job ledger updates these live metric handles
     /// (jobs done, sim cycles, scheduler counters, wall-clock phase
     /// histograms) as jobs finish — the daemon's `/metrics` endpoint
     /// scrapes the registry they live in.

@@ -1,51 +1,40 @@
-//! The supervisor half of the process-isolated backend: spawns N
-//! long-lived worker subprocesses, dispatches jobs over the
-//! length-prefixed stdin/stdout protocol ([`crate::proto`]), watches
-//! heartbeats, and contains every failure mode `catch_unwind` cannot —
-//! aborts, OOM kills, SIGKILL, wedged processes.
+//! The process transport: each lane of the shared transport
+//! ([`crate::pool`]) owns one long-lived worker subprocess and forwards
+//! its jobs over the length-prefixed stdin/stdout protocol
+//! ([`crate::proto`]). A process boundary contains what `catch_unwind`
+//! cannot — aborts, OOM kills, SIGKILL, wedged processes. This module
+//! keeps only what concerns processes: spawn, heartbeats, kill
+//! escalation, reaping, respawn backoff and frames. Every job decision
+//! (re-dispatch, poison quarantine, retry, expiry) is a ledger call
+//! through the lane, exactly as for thread lanes.
 //!
-//! ## Supervision invariants
-//!
-//! * **Jobs are relocatable.** Every job's seed is a pure function of
-//!   its `(cell, trial)` coordinates, so a job lost with a crashed
-//!   worker is simply re-dispatched to another; the recomputed result
-//!   is bit-identical, and the campaign outcome matches the in-process
-//!   thread backend byte for byte (test-asserted).
-//! * **Crashes never orphan work or processes.** A worker EOF reaps the
-//!   child (`wait`, so no zombies), re-queues its in-flight job at the
-//!   front of the queue, and schedules a respawn behind an exponential
-//!   backoff gate. A slot exceeding its respawn budget is abandoned; a
-//!   fleet with every slot abandoned fails the remaining jobs instead
-//!   of hanging.
-//! * **Poisoned cells are quarantined deterministically.** A job that
-//!   kills the worker running it will kill every worker it is
-//!   re-dispatched to (job execution is deterministic), so after
-//!   [`FleetConfig::poison_threshold`] worker crashes with the same
-//!   `(cell, trial)` in flight the job is failed as
-//!   [`JobFailure::Poisoned`] — quarantining one cell instead of
-//!   crash-looping the fleet. The decision depends only on the crash
-//!   count K, never on timing, so it is reproducible run to run.
+//! * **Crashes never orphan work or processes.** A worker's EOF reaps
+//!   the child (`wait`, so no zombies), settles its in-flight job as a
+//!   crash, and respawns the lane behind an exponential backoff gate. A
+//!   lane past its respawn budget is abandoned; when every lane is
+//!   gone the remaining jobs fail instead of hanging.
 //! * **Liveness is observed, not assumed.** Workers heartbeat on a
 //!   fixed cadence from a dedicated thread; a worker silent past
-//!   [`FleetConfig::heartbeat_timeout`] is killed and treated exactly
-//!   like a crash. Cooperative cancels (hard job deadlines, campaign
-//!   expiry) escalate to a kill after [`FleetConfig::kill_grace`] — but
-//!   resolve the job through the deadline path, not the crash path, so
-//!   a slow cancel never counts toward poisoning.
+//!   [`FleetConfig::heartbeat_timeout`] is killed and settled as a
+//!   crash. A cancel (hard job deadline, campaign expiry) escalates to a
+//!   kill after [`FleetConfig::kill_grace`], but settles as cancelled,
+//!   so a slow cancel never counts toward poisoning.
 
-use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vpsim_pipeline::CancelToken;
-
+use crate::campaign::CampaignStats;
 use crate::exec::Exec;
-use crate::pool::{Batch, JobDone, JobFailure, PoolStats};
+use crate::ledger::{Batch, Job, JobResult, Ledger, OnDone, Outcome};
+use crate::pool::{run_lanes, Lane};
 use crate::proto::{read_frame, write_frame, FromWorker, ToWorker};
-use crate::sink::JobRecord;
+
+/// How often a lane waiting for a reply re-checks heartbeats and its
+/// job's cancel token.
+const TICK: Duration = Duration::from_millis(25);
 
 /// Configuration of the subprocess fleet behind
 /// [`WorkerBackend::Process`](crate::WorkerBackend).
@@ -117,96 +106,86 @@ fn respawn_gate(cfg: &FleetConfig, n: u32) -> Duration {
     cfg.respawn_backoff.saturating_mul(1u32 << n.min(8))
 }
 
-/// A job waiting for a worker.
-#[derive(Debug, Clone, Copy)]
-struct PendingJob {
-    index: usize,
-    cell: usize,
-    trial: usize,
-    attempt: u32,
-    not_before: Option<Instant>,
-}
-
-/// What the supervisor knows about a slot's in-flight job.
-#[derive(Debug, Clone, Copy)]
-struct Inflight {
-    index: usize,
-    cell: usize,
-    trial: usize,
-    attempt: u32,
-    started: Instant,
-    cancel_sent: Option<Instant>,
-}
-
-/// Why the supervisor itself killed a worker (distinguishes our kills
-/// from genuine crashes when the EOF arrives).
-#[derive(Debug, Clone, Copy)]
+/// Why a lane killed its worker (decides how the EOF settles the job).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KillCause {
-    /// Missed heartbeats: treated as a crash (poison-countable).
+    /// Missed heartbeats or a confused reply: settled as a crash.
     Hung,
-    /// Ignored a cooperative cancel past the grace period: the job
-    /// resolves through the deadline path, never the crash path.
+    /// Ignored a cooperative cancel past the grace period: settled as
+    /// cancelled, never as a crash.
     CancelStuck,
 }
 
-struct WorkerSlot {
-    child: Option<Child>,
-    stdin: Option<ChildStdin>,
-    /// Incarnation number; events from dead incarnations are ignored.
-    generation: u64,
+/// One incarnation of a lane's worker process. Its reader thread
+/// forwards every frame; the channel disconnects at EOF.
+struct Worker {
+    child: Child,
+    stdin: ChildStdin,
+    frames: mpsc::Receiver<FromWorker>,
     last_seen: Instant,
-    inflight: Option<Inflight>,
+}
+
+struct ProcessLane<'a> {
+    campaign: &'a str,
+    cfg: &'a FleetConfig,
+    spec_json: &'a str,
+    worker: Option<Worker>,
+    spawned: bool,
     respawns: u32,
     /// Don't respawn before this instant (exponential backoff).
     gate: Option<Instant>,
-    abandoned: bool,
-    kill_cause: Option<KillCause>,
 }
 
-impl WorkerSlot {
-    fn new() -> WorkerSlot {
-        WorkerSlot {
-            child: None,
-            stdin: None,
-            generation: 0,
-            last_seen: Instant::now(),
-            inflight: None,
-            respawns: 0,
-            gate: None,
-            abandoned: false,
-            kill_cause: None,
+impl ProcessLane<'_> {
+    fn serve(mut self, mut lane: Lane<'_, '_>) {
+        while self.may_respawn(&lane) {
+            let Some(job) = lane.next_job() else { break };
+            // Claim the job first: a worker is only (re)spawned for work,
+            // never after expiry or once the queue is empty.
+            if self.worker.is_some() || self.respawn(&lane) {
+                self.forward(&job, &mut lane);
+            } else {
+                lane.update(Ledger::release);
+            }
         }
+        self.shutdown();
     }
-}
 
-/// One event from a worker's stdout reader thread.
-enum Ev {
-    Msg(FromWorker),
-    Eof,
-}
+    /// With no live worker, wait out the respawn gate. `false`: the
+    /// lane is abandoned, or every job resolved meanwhile.
+    fn may_respawn(&self, lane: &Lane<'_, '_>) -> bool {
+        if self.worker.is_some() {
+            return true;
+        }
+        if self.respawns >= self.cfg.max_respawns {
+            eprintln!(
+                "[{}] fleet: abandoning worker slot {} (respawn budget spent)",
+                self.campaign,
+                lane.slot()
+            );
+            return false;
+        }
+        self.gate.is_none_or(|gate| lane.wait_until(gate))
+    }
 
-struct Fleet<'a> {
-    batch: &'a Batch<'a>,
-    exec: &'a Exec,
-    cfg: &'a FleetConfig,
-    spec_json: &'a str,
-    stats: &'a PoolStats,
-    on_done: &'a (dyn Fn(usize, usize, &JobDone) + Sync),
-    slots: Vec<WorkerSlot>,
-    queue: VecDeque<PendingJob>,
-    results: Vec<Option<Result<JobDone, JobFailure>>>,
-    outstanding: usize,
-    crash_counts: HashMap<(usize, usize), u32>,
-    expired: bool,
-    tx: mpsc::Sender<(usize, u64, Ev)>,
-    started: Instant,
-    last_report: Instant,
-}
+    /// Spawn the lane's worker; on failure, gate the next try.
+    fn respawn(&mut self, lane: &Lane<'_, '_>) -> bool {
+        self.worker = self.spawn(lane.slot());
+        if self.worker.is_none() {
+            self.respawns += 1;
+            self.gate = Some(Instant::now() + respawn_gate(self.cfg, self.respawns));
+            return false;
+        }
+        self.gate = None;
+        if std::mem::replace(&mut self.spawned, true) {
+            self.respawns += 1;
+            lane.update(|l, _| l.worker_respawned());
+        }
+        true
+    }
 
-impl Fleet<'_> {
-    /// Launch (or relaunch) a worker into slot `idx` and hand it the
-    /// spec frame. Returns whether the spawn succeeded.
-    fn spawn_worker(&mut self, idx: usize) -> bool {
+    /// Launch a worker and hand it the spec frame.
+    fn spawn(&self, slot: usize) -> Option<Worker> {
         let (program, args) = match &self.cfg.worker_cmd {
             Some(cmd) if !cmd.is_empty() => (cmd[0].clone(), cmd[1..].to_vec()),
             _ => match std::env::current_exe() {
@@ -214,9 +193,9 @@ impl Fleet<'_> {
                 Err(e) => {
                     eprintln!(
                         "[{}] fleet: cannot resolve the worker executable: {e}",
-                        self.batch.campaign
+                        self.campaign
                     );
-                    return false;
+                    return None;
                 }
             },
         };
@@ -232,741 +211,202 @@ impl Fleet<'_> {
             Ok(child) => child,
             Err(e) => {
                 eprintln!(
-                    "[{}] fleet: spawning worker {idx} failed: {e}",
-                    self.batch.campaign
+                    "[{}] fleet: spawning worker {slot} failed: {e}",
+                    self.campaign
                 );
-                return false;
+                return None;
             }
         };
         let mut stdin = child.stdin.take().expect("worker stdin is piped");
         if write_frame(&mut stdin, self.spec_json).is_err() {
             let _ = child.kill();
             let _ = child.wait();
-            return false;
+            return None;
         }
         let stdout = child.stdout.take().expect("worker stdout is piped");
         if let Some(board) = &self.cfg.pids {
             board.lock().expect("pid board poisoned").push(child.id());
         }
-        let slot = &mut self.slots[idx];
-        slot.generation += 1;
-        let generation = slot.generation;
-        let tx = self.tx.clone();
+        let (tx, frames) = mpsc::channel();
         std::thread::spawn(move || {
             let mut r = BufReader::new(stdout);
-            loop {
-                match read_frame(&mut r) {
-                    Ok(Some(line)) => {
-                        if let Some(msg) = FromWorker::parse(&line) {
-                            if tx.send((idx, generation, Ev::Msg(msg))).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                    Ok(None) | Err(_) => {
-                        let _ = tx.send((idx, generation, Ev::Eof));
+            while let Ok(Some(line)) = read_frame(&mut r) {
+                if let Some(msg) = FromWorker::parse(&line) {
+                    if tx.send(msg).is_err() {
                         return;
                     }
                 }
             }
         });
-        slot.child = Some(child);
-        slot.stdin = Some(stdin);
-        slot.last_seen = Instant::now();
-        slot.inflight = None;
-        slot.kill_cause = None;
-        slot.gate = None;
-        true
+        Some(Worker {
+            child,
+            stdin,
+            frames,
+            last_seen: Instant::now(),
+        })
     }
 
-    /// Fill empty, non-abandoned slots whose backoff gate has passed.
-    fn maintain_fleet(&mut self) {
-        if self.expired {
-            // Past expiry the queue is drained; only in-flight cancels
-            // remain, and those need no fresh workers.
-            return;
+    /// Run `job` on the lane's worker until it replies or dies, and
+    /// settle it.
+    fn forward(&mut self, job: &Job, lane: &mut Lane<'_, '_>) {
+        let campaign = self.campaign;
+        let slot = lane.slot();
+        let coords = (job.cell, job.trial);
+        let w = self
+            .worker
+            .as_mut()
+            .expect("a job is forwarded to a live worker");
+        let frame = ToWorker::Job {
+            cell: job.cell,
+            trial: job.trial,
+            attempt: job.attempt,
+        };
+        if write_frame(&mut w.stdin, &frame.encode()).is_err() {
+            // The job never reached the worker: back untouched.
+            self.bury(lane);
+            return lane.update(Ledger::release);
         }
-        let now = Instant::now();
-        for idx in 0..self.slots.len() {
-            let slot = &self.slots[idx];
-            if slot.child.is_some() || slot.abandoned {
-                continue;
-            }
-            if slot.gate.is_some_and(|g| g > now) {
-                continue;
-            }
-            let is_respawn = slot.generation > 0;
-            if slot.respawns >= self.cfg.max_respawns {
-                self.slots[idx].abandoned = true;
-                eprintln!(
-                    "[{}] fleet: abandoning worker slot {idx} after {} respawns",
-                    self.batch.campaign, self.cfg.max_respawns
-                );
-                continue;
-            }
-            if self.spawn_worker(idx) {
-                if is_respawn {
-                    self.slots[idx].respawns += 1;
-                    self.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = &self.exec.metrics {
-                        m.worker_respawns.inc();
-                    }
+        let mut cancel_sent: Option<Instant> = None;
+        let mut killed: Option<KillCause> = None;
+        loop {
+            let w = self.worker.as_mut().expect("live until buried");
+            let reply = match w.frames.recv_timeout(TICK) {
+                Err(RecvTimeoutError::Disconnected) => {
+                    self.bury(lane);
+                    return match killed {
+                        Some(KillCause::CancelStuck) => lane.settle(Outcome::Cancelled),
+                        _ => lane.update(Ledger::settle_crash),
+                    };
                 }
-            } else {
-                let slot = &mut self.slots[idx];
-                slot.respawns += 1;
-                slot.gate = Some(now + respawn_gate(self.cfg, slot.respawns));
-            }
-        }
-    }
-
-    /// Hand one eligible queued job to every idle live worker.
-    fn dispatch(&mut self) {
-        if self.expired {
-            return;
-        }
-        let now = Instant::now();
-        for idx in 0..self.slots.len() {
-            if self.queue.is_empty() {
-                return;
-            }
-            let slot = &mut self.slots[idx];
-            if slot.child.is_none() || slot.inflight.is_some() || slot.kill_cause.is_some() {
-                continue;
-            }
-            let Some(pos) = self
-                .queue
-                .iter()
-                .position(|j| j.not_before.is_none_or(|t| t <= now))
-            else {
-                return;
-            };
-            let job = self.queue.remove(pos).expect("position is in range");
-            let frame = ToWorker::Job {
-                cell: job.cell,
-                trial: job.trial,
-                attempt: job.attempt,
-            }
-            .encode();
-            let stdin = slot.stdin.as_mut().expect("live worker has stdin");
-            if write_frame(stdin, &frame).is_err() {
-                // The worker died under us; the job never reached it, so
-                // put it back untouched and let the EOF event do the
-                // crash bookkeeping.
-                self.queue.push_front(job);
-                if let Some(child) = slot.child.as_mut() {
-                    let _ = child.kill();
-                }
-                continue;
-            }
-            slot.inflight = Some(Inflight {
-                index: job.index,
-                cell: job.cell,
-                trial: job.trial,
-                attempt: job.attempt,
-                started: now,
-                cancel_sent: None,
-            });
-        }
-    }
-
-    /// Campaign-level expiry: external cancel or campaign deadline.
-    /// Drains the queue as failures and cancels every in-flight job.
-    fn check_expiry(&mut self) {
-        if self.expired {
-            return;
-        }
-        let externally = self
-            .exec
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled);
-        let over = externally
-            || self
-                .exec
-                .campaign_deadline
-                .is_some_and(|budget| self.started.elapsed() > budget);
-        if !over {
-            return;
-        }
-        self.expired = true;
-        eprintln!(
-            "[{}] fleet: {}; cancelling in-flight jobs and draining the queue",
-            self.batch.campaign,
-            if externally {
-                "external cancellation requested".to_owned()
-            } else {
-                format!(
-                    "campaign deadline {:?} exhausted",
-                    self.exec.campaign_deadline.unwrap_or_default()
-                )
-            }
-        );
-        while let Some(job) = self.queue.pop_front() {
-            self.stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.exec.metrics {
-                m.jobs_failed.inc();
-            }
-            self.resolve(
-                job.index,
-                Err(JobFailure::Deadline {
-                    attempts: job.attempt,
-                }),
-            );
-        }
-        let now = Instant::now();
-        for slot in &mut self.slots {
-            if let (Some(stdin), Some(inf)) = (slot.stdin.as_mut(), slot.inflight.as_mut()) {
-                if inf.cancel_sent.is_none() {
-                    let _ = write_frame(
-                        stdin,
-                        &ToWorker::Cancel {
-                            cell: inf.cell,
-                            trial: inf.trial,
+                Err(RecvTimeoutError::Timeout) => None,
+                Ok(msg) => {
+                    w.last_seen = Instant::now();
+                    match msg {
+                        FromWorker::Heartbeat => None,
+                        FromWorker::Done(rec) => Some((
+                            (rec.cell, rec.trial),
+                            Outcome::Done {
+                                pair: rec.pair,
+                                wall_nanos: rec.wall_nanos,
+                            },
+                        )),
+                        FromWorker::Cancelled { cell, trial } => {
+                            Some(((cell, trial), Outcome::Cancelled))
                         }
-                        .encode(),
-                    );
-                    inf.cancel_sent = Some(now);
-                }
-            }
-        }
-    }
-
-    /// Per-slot timers: heartbeat liveness, hard job deadlines, and the
-    /// kill escalation for cancels that go unanswered.
-    fn enforce_deadlines(&mut self) {
-        let now = Instant::now();
-        let campaign = self.batch.campaign;
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            let Some(child) = slot.child.as_mut() else {
-                continue;
-            };
-            if slot.kill_cause.is_some() {
-                // Already killed; waiting for the EOF to do bookkeeping.
-                continue;
-            }
-            if now.duration_since(slot.last_seen) > self.cfg.heartbeat_timeout {
-                eprintln!(
-                    "[{campaign}] fleet: worker {idx} missed heartbeats for {:?}; killing it",
-                    self.cfg.heartbeat_timeout
-                );
-                slot.kill_cause = Some(KillCause::Hung);
-                let _ = child.kill();
-                continue;
-            }
-            let Some(inf) = slot.inflight.as_mut() else {
-                continue;
-            };
-            match inf.cancel_sent {
-                None => {
-                    let over_deadline = self
-                        .exec
-                        .deadline_for_attempt(inf.attempt)
-                        .is_some_and(|d| now.duration_since(inf.started) > d);
-                    if over_deadline {
-                        eprintln!(
-                            "[{campaign}] fleet: job (cell {}, trial {}) exceeded its hard \
-                             deadline (attempt {}); cancelling mid-simulation",
-                            inf.cell,
-                            inf.trial,
-                            inf.attempt + 1
-                        );
-                        if let Some(stdin) = slot.stdin.as_mut() {
-                            let _ = write_frame(
-                                stdin,
-                                &ToWorker::Cancel {
-                                    cell: inf.cell,
-                                    trial: inf.trial,
-                                }
-                                .encode(),
+                        FromWorker::Panicked {
+                            cell,
+                            trial,
+                            message,
+                        } => Some(((cell, trial), Outcome::Panicked(message))),
+                        FromWorker::Fatal { message } => {
+                            eprintln!(
+                                "[{campaign}] fleet: worker {slot} cannot serve: {message}; \
+                                 abandoning its slot"
                             );
+                            // It would recur on every respawn: spend them all.
+                            self.respawns = self.cfg.max_respawns;
+                            killed.get_or_insert(KillCause::Hung);
+                            let _ = w.child.kill();
+                            None
                         }
-                        inf.cancel_sent = Some(now);
                     }
                 }
-                Some(sent) if now.duration_since(sent) > self.cfg.kill_grace => {
-                    eprintln!(
-                        "[{campaign}] fleet: worker {idx} ignored a cancel for {:?}; \
-                         killing it",
-                        self.cfg.kill_grace
-                    );
-                    slot.kill_cause = Some(KillCause::CancelStuck);
-                    let _ = child.kill();
-                }
-                Some(_) => {}
-            }
-        }
-    }
-
-    fn resolve(&mut self, index: usize, result: Result<JobDone, JobFailure>) {
-        if self.results[index].is_none() {
-            self.outstanding -= 1;
-        }
-        self.results[index] = Some(result);
-    }
-
-    fn handle_event(&mut self, idx: usize, generation: u64, ev: Ev) {
-        if generation != self.slots[idx].generation {
-            return; // event from a dead incarnation
-        }
-        match ev {
-            Ev::Msg(FromWorker::Heartbeat | FromWorker::Ready { .. }) => {
-                self.slots[idx].last_seen = Instant::now();
-            }
-            Ev::Msg(FromWorker::Done(rec)) => self.handle_done(idx, rec),
-            Ev::Msg(FromWorker::Cancelled { cell, trial }) => {
-                self.handle_cancelled(idx, cell, trial);
-            }
-            Ev::Msg(FromWorker::Panicked {
-                cell,
-                trial,
-                message,
-            }) => self.handle_panic(idx, cell, trial, message),
-            Ev::Msg(FromWorker::Fatal { message }) => {
-                eprintln!(
-                    "[{}] fleet: worker {idx} cannot serve: {message}; abandoning its slot",
-                    self.batch.campaign
-                );
-                // A fatal (e.g. spec rejected) would recur on every
-                // respawn; abandon the slot instead of spawn-looping.
-                self.slots[idx].abandoned = true;
-                if let Some(child) = self.slots[idx].child.as_mut() {
-                    let _ = child.kill();
-                }
-            }
-            Ev::Eof => self.handle_death(idx),
-        }
-    }
-
-    fn handle_done(&mut self, idx: usize, rec: JobRecord) {
-        let slot = &mut self.slots[idx];
-        slot.last_seen = Instant::now();
-        let Some(inf) = slot.inflight.take() else {
-            return;
-        };
-        if (rec.cell, rec.trial) != (inf.cell, inf.trial) {
-            // Protocol confusion: restore the in-flight marker and let
-            // the crash path re-dispatch after the kill.
-            eprintln!(
-                "[{}] fleet: worker {idx} answered for (cell {}, trial {}) while running \
-                 (cell {}, trial {}); killing it",
-                self.batch.campaign, rec.cell, rec.trial, inf.cell, inf.trial
-            );
-            slot.inflight = Some(inf);
-            slot.kill_cause = Some(KillCause::Hung);
-            if let Some(child) = slot.child.as_mut() {
-                let _ = child.kill();
-            }
-            return;
-        }
-        let wall = Duration::from_nanos(rec.wall_nanos);
-        if let Some(m) = &self.exec.metrics {
-            m.run_seconds.observe(wall.as_secs_f64());
-        }
-        if wall > self.exec.job_wall_budget {
-            self.stats.quarantined_wall.fetch_add(1, Ordering::Relaxed);
-            if inf.attempt < self.exec.max_retries {
-                self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.exec.metrics {
-                    m.retries.inc();
-                }
-                self.queue.push_back(PendingJob {
-                    index: inf.index,
-                    cell: inf.cell,
-                    trial: inf.trial,
-                    attempt: inf.attempt + 1,
-                    not_before: None,
-                });
-                return;
-            }
-        }
-        if rec.pair.total_cycles() > self.exec.cycle_budget {
-            self.stats
-                .quarantined_cycles
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.stats.jobs_run.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .sim_cycles
-            .fetch_add(rec.pair.total_cycles(), Ordering::Relaxed);
-        let sched = rec.pair.sched();
-        self.stats
-            .sched_ticks
-            .fetch_add(sched.ticks, Ordering::Relaxed);
-        self.stats
-            .sched_skipped
-            .fetch_add(sched.skipped_cycles, Ordering::Relaxed);
-        if let Some(m) = &self.exec.metrics {
-            m.jobs_done.inc();
-            m.sim_cycles.add(rec.pair.total_cycles());
-            m.sched_ticks.add(sched.ticks);
-            m.sched_skipped.add(sched.skipped_cycles);
-        }
-        let done = JobDone {
-            pair: rec.pair,
-            wall_nanos: rec.wall_nanos,
-            attempts: inf.attempt + 1,
-        };
-        let sink_start = Instant::now();
-        (self.on_done)(inf.cell, inf.trial, &done);
-        if let Some(m) = &self.exec.metrics {
-            m.sink_seconds.observe(sink_start.elapsed().as_secs_f64());
-        }
-        self.resolve(inf.index, Ok(done));
-    }
-
-    fn handle_cancelled(&mut self, idx: usize, cell: usize, trial: usize) {
-        let slot = &mut self.slots[idx];
-        slot.last_seen = Instant::now();
-        let Some(inf) = slot.inflight.take() else {
-            return;
-        };
-        if (cell, trial) != (inf.cell, inf.trial) {
-            slot.inflight = Some(inf);
-            return;
-        }
-        self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-        if self.expired || inf.attempt >= self.exec.max_retries {
-            self.stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.exec.metrics {
-                m.jobs_failed.inc();
-            }
-            self.resolve(
-                inf.index,
-                Err(JobFailure::Deadline {
-                    attempts: inf.attempt + 1,
-                }),
-            );
-        } else {
-            self.stats.backoff_retries.fetch_add(1, Ordering::Relaxed);
-            let backoff = self.exec.backoff_for_attempt(inf.attempt);
-            if let Some(m) = &self.exec.metrics {
-                m.retries.inc();
-                m.backoff_seconds.observe(backoff.as_secs_f64());
-            }
-            self.queue.push_back(PendingJob {
-                index: inf.index,
-                cell: inf.cell,
-                trial: inf.trial,
-                attempt: inf.attempt + 1,
-                not_before: Some(Instant::now() + backoff),
-            });
-        }
-    }
-
-    fn handle_panic(&mut self, idx: usize, cell: usize, trial: usize, message: String) {
-        let slot = &mut self.slots[idx];
-        slot.last_seen = Instant::now();
-        let Some(inf) = slot.inflight.take() else {
-            return;
-        };
-        if (cell, trial) != (inf.cell, inf.trial) {
-            slot.inflight = Some(inf);
-            return;
-        }
-        self.stats.panics.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.exec.metrics {
-            m.jobs_failed.inc();
-        }
-        self.resolve(inf.index, Err(JobFailure::Panic(message)));
-    }
-
-    /// A worker's stdout closed: the process is gone (crashed, killed,
-    /// or exited). Reap it, re-queue or poison its in-flight job, and
-    /// schedule the respawn.
-    fn handle_death(&mut self, idx: usize) {
-        let (inf, cause) = {
-            let slot = &mut self.slots[idx];
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.kill();
-                let _ = child.wait(); // reap: no zombies
-            }
-            slot.stdin = None;
-            slot.gate = Some(Instant::now() + respawn_gate(self.cfg, slot.respawns));
-            (slot.inflight.take(), slot.kill_cause.take())
-        };
-        self.stats.worker_crashes.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.exec.metrics {
-            m.worker_crashes.inc();
-        }
-        let campaign = self.batch.campaign;
-        let Some(inf) = inf else {
-            if !self.expired {
-                eprintln!("[{campaign}] fleet: worker {idx} exited unexpectedly while idle");
-            }
-            return;
-        };
-        if matches!(cause, Some(KillCause::CancelStuck)) {
-            // We killed it for ignoring a cancel: the job resolves
-            // through the deadline machinery, never the crash counter —
-            // a slow cancel must not poison a healthy cell.
-            self.handle_cancelled_inflight(inf);
-            return;
-        }
-        let crashes = {
-            let n = self.crash_counts.entry((inf.cell, inf.trial)).or_insert(0);
-            *n += 1;
-            *n
-        };
-        if crashes >= self.cfg.poison_threshold {
-            eprintln!(
-                "[{campaign}] fleet: job (cell {}, trial {}) crashed {crashes} worker(s); \
-                 quarantining the cell as poisoned",
-                inf.cell, inf.trial
-            );
-            if let Some(m) = &self.exec.metrics {
-                m.jobs_failed.inc();
-            }
-            self.resolve(inf.index, Err(JobFailure::Poisoned { crashes }));
-        } else if self.expired {
-            // Past expiry the job would only be drained anyway.
-            self.stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.exec.metrics {
-                m.jobs_failed.inc();
-            }
-            self.resolve(
-                inf.index,
-                Err(JobFailure::Deadline {
-                    attempts: inf.attempt,
-                }),
-            );
-        } else {
-            eprintln!(
-                "[{campaign}] fleet: worker {idx} died with (cell {}, trial {}) in flight \
-                 (crash {crashes}/{}); re-dispatching",
-                inf.cell, inf.trial, self.cfg.poison_threshold
-            );
-            // Front of the queue: the relocated job runs next, so a
-            // genuinely poisoned cell converges on its K-th crash
-            // instead of interleaving with the whole backlog.
-            self.queue.push_front(PendingJob {
-                index: inf.index,
-                cell: inf.cell,
-                trial: inf.trial,
-                attempt: inf.attempt,
-                not_before: None,
-            });
-        }
-    }
-
-    /// Resolve an in-flight job whose worker we killed after a cancel:
-    /// same retry policy as a cooperative `cancelled` reply.
-    fn handle_cancelled_inflight(&mut self, inf: Inflight) {
-        self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-        if self.expired || inf.attempt >= self.exec.max_retries {
-            self.stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.exec.metrics {
-                m.jobs_failed.inc();
-            }
-            self.resolve(
-                inf.index,
-                Err(JobFailure::Deadline {
-                    attempts: inf.attempt + 1,
-                }),
-            );
-        } else {
-            self.stats.backoff_retries.fetch_add(1, Ordering::Relaxed);
-            let backoff = self.exec.backoff_for_attempt(inf.attempt);
-            if let Some(m) = &self.exec.metrics {
-                m.retries.inc();
-                m.backoff_seconds.observe(backoff.as_secs_f64());
-            }
-            self.queue.push_back(PendingJob {
-                index: inf.index,
-                cell: inf.cell,
-                trial: inf.trial,
-                attempt: inf.attempt + 1,
-                not_before: Some(Instant::now() + backoff),
-            });
-        }
-    }
-
-    /// The whole fleet is gone (every slot abandoned, nothing running):
-    /// fail whatever is left rather than spin forever.
-    fn fleet_lost(&self) -> bool {
-        self.outstanding > 0 && self.slots.iter().all(|s| s.abandoned && s.child.is_none())
-    }
-
-    fn drain_as_lost(&mut self) {
-        eprintln!(
-            "[{}] fleet: every worker slot is abandoned; failing the {} remaining job(s)",
-            self.batch.campaign, self.outstanding
-        );
-        while let Some(job) = self.queue.pop_front() {
-            self.stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.exec.metrics {
-                m.jobs_failed.inc();
-            }
-            self.resolve(
-                job.index,
-                Err(JobFailure::Deadline {
-                    attempts: job.attempt,
-                }),
-            );
-        }
-        for idx in 0..self.slots.len() {
-            if let Some(inf) = self.slots[idx].inflight.take() {
-                self.stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.exec.metrics {
-                    m.jobs_failed.inc();
-                }
-                self.resolve(
-                    inf.index,
-                    Err(JobFailure::Deadline {
-                        attempts: inf.attempt,
-                    }),
-                );
-            }
-        }
-    }
-
-    fn report_progress(&mut self) {
-        if !self.exec.progress || self.last_report.elapsed() < Duration::from_secs(1) {
-            return;
-        }
-        self.last_report = Instant::now();
-        let run = self.stats.jobs_run.load(Ordering::Relaxed) as usize;
-        let secs = self.started.elapsed().as_secs_f64().max(1e-9);
-        let live = self.slots.iter().filter(|s| s.child.is_some()).count();
-        let mut line = format!(
-            "[{}] {}/{} jobs ({} resumed), {:.1} jobs/s, {:.1} Mcycles simulated, \
-             {live}/{} workers live",
-            self.batch.campaign,
-            self.batch.resumed + run,
-            self.batch.total_jobs,
-            self.batch.resumed,
-            run as f64 / secs,
-            self.stats.sim_cycles.load(Ordering::Relaxed) as f64 / 1e6,
-            self.slots.len(),
-        );
-        let crashes = self.stats.worker_crashes.load(Ordering::Relaxed);
-        let respawns = self.stats.worker_respawns.load(Ordering::Relaxed);
-        if crashes + respawns > 0 {
-            line.push_str(&format!(
-                "; {crashes} worker crash(es), {respawns} respawn(s)"
-            ));
-        }
-        eprintln!("{line}");
-    }
-
-    /// Graceful teardown: ask every live worker to exit, give the fleet
-    /// a short grace period, then kill stragglers. Every child is
-    /// `wait()`ed — the supervisor never leaves a zombie behind.
-    fn shutdown(&mut self) {
-        for slot in &mut self.slots {
-            if let Some(stdin) = slot.stdin.as_mut() {
-                let _ = write_frame(stdin, &ToWorker::Exit.encode());
-            }
-            // Dropping stdin closes the pipe, so EOF nudges workers too.
-            slot.stdin = None;
-        }
-        let deadline = Instant::now() + Duration::from_secs(2);
-        for slot in &mut self.slots {
-            let Some(child) = slot.child.as_mut() else {
-                continue;
             };
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
+            if killed.is_some() {
+                continue; // wait for the EOF
             }
-            slot.child = None;
+            let now = Instant::now();
+            let mut kill = |cause, why: String| {
+                eprintln!("[{campaign}] fleet: worker {slot} {why}; killing it");
+                killed = Some(cause);
+                let _ = w.child.kill();
+            };
+            match reply {
+                Some((c, outcome)) if c == coords => return lane.settle(outcome),
+                Some((c, _)) => kill(
+                    KillCause::Hung,
+                    format!("answered for {c:?} while running {coords:?}"),
+                ),
+                None if now.duration_since(w.last_seen) > self.cfg.heartbeat_timeout => kill(
+                    KillCause::Hung,
+                    format!("missed heartbeats for {:?}", self.cfg.heartbeat_timeout),
+                ),
+                None => match cancel_sent {
+                    Some(sent) if now.duration_since(sent) > self.cfg.kill_grace => kill(
+                        KillCause::CancelStuck,
+                        format!("ignored a cancel for {:?}", self.cfg.kill_grace),
+                    ),
+                    None if job.token.is_cancelled() => {
+                        let frame = ToWorker::Cancel {
+                            cell: job.cell,
+                            trial: job.trial,
+                        };
+                        let _ = write_frame(&mut w.stdin, &frame.encode());
+                        cancel_sent = Some(now);
+                    }
+                    _ => {}
+                },
+            }
         }
+    }
+
+    /// The worker is gone: reap it (no zombies) and gate the respawn.
+    fn bury(&mut self, lane: &Lane<'_, '_>) {
+        if let Some(mut w) = self.worker.take() {
+            let _ = w.child.kill();
+            let _ = w.child.wait();
+        }
+        self.gate = Some(Instant::now() + respawn_gate(self.cfg, self.respawns));
+        lane.update(|l, _| l.worker_died());
+    }
+
+    /// Graceful teardown: ask the worker to exit, give it a short grace
+    /// period, then kill it. The child is always `wait()`ed.
+    fn shutdown(&mut self) {
+        let Some(mut w) = self.worker.take() else {
+            return;
+        };
+        let _ = write_frame(&mut w.stdin, &ToWorker::Exit.encode());
+        // Closing stdin nudges the worker with an EOF too.
+        drop(w.stdin);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while matches!(w.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let _ = w.child.kill();
+        let _ = w.child.wait();
     }
 }
 
-/// Run the batch's pending jobs on a subprocess fleet. Same contract as
-/// [`pool::run_jobs`](crate::pool::run_jobs): one result per global job
-/// index, `None` for indices not in `batch.pending`.
+/// Run the batch's pending jobs on a subprocess fleet: one lane per
+/// worker process. Same contract as [`pool::run_jobs`](crate::pool::run_jobs).
 pub(crate) fn run_jobs(
     batch: &Batch<'_>,
     exec: &Exec,
     cfg: &FleetConfig,
     spec_json: &str,
-    stats: &PoolStats,
-    on_done: &(dyn Fn(usize, usize, &JobDone) + Sync),
-) -> Vec<Option<Result<JobDone, JobFailure>>> {
-    if batch.pending.is_empty() {
-        return vec![None; batch.total_jobs];
-    }
-    // A pre-tripped external cancel drains everything without spawning
-    // a single process (mirrors the thread pool).
-    if exec.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-        let mut results = vec![None; batch.total_jobs];
-        for &(index, _, _) in batch.pending {
-            stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &exec.metrics {
-                m.jobs_failed.inc();
-            }
-            results[index] = Some(Err(JobFailure::Deadline { attempts: 0 }));
-        }
-        return results;
-    }
+    on_done: &OnDone<'_>,
+) -> (Vec<Option<JobResult>>, CampaignStats) {
     let workers = cfg.effective_workers(batch.pending.len());
-    let (tx, rx) = mpsc::channel();
-    let mut fleet = Fleet {
+    run_lanes(
         batch,
         exec,
-        cfg,
-        spec_json,
-        stats,
+        workers,
+        cfg.poison_threshold,
         on_done,
-        slots: (0..workers).map(|_| WorkerSlot::new()).collect(),
-        queue: batch
-            .pending
-            .iter()
-            .map(|&(index, cell, trial)| PendingJob {
-                index,
-                cell,
-                trial,
-                attempt: 0,
-                not_before: None,
-            })
-            .collect(),
-        results: vec![None; batch.total_jobs],
-        outstanding: batch.pending.len(),
-        crash_counts: HashMap::new(),
-        expired: false,
-        tx,
-        started: Instant::now(),
-        last_report: Instant::now(),
-    };
-    while fleet.outstanding > 0 {
-        fleet.check_expiry();
-        if fleet.outstanding == 0 {
-            break;
-        }
-        fleet.maintain_fleet();
-        if fleet.fleet_lost() {
-            fleet.drain_as_lost();
-            break;
-        }
-        fleet.dispatch();
-        fleet.enforce_deadlines();
-        fleet.report_progress();
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok((idx, generation, ev)) => {
-                fleet.handle_event(idx, generation, ev);
-                while let Ok((i, g, e)) = rx.try_recv() {
-                    fleet.handle_event(i, g, e);
-                }
+        &|lane| {
+            ProcessLane {
+                campaign: batch.campaign,
+                cfg,
+                spec_json,
+                worker: None,
+                spawned: false,
+                respawns: 0,
+                gate: None,
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                unreachable!("fleet keeps a sender alive")
-            }
-        }
-    }
-    fleet.shutdown();
-    fleet.results
+            .serve(lane);
+        },
+    )
 }
 
 #[cfg(test)]

@@ -12,19 +12,15 @@
 //!
 //! On top of the job model the engine layers:
 //!
-//! * a std-only worker pool ([`Exec::jobs`]) with per-job panic
-//!   isolation (`catch_unwind`) — one crashing job fails its cell, not
-//!   the campaign;
-//! * a watchdog that quarantines jobs exceeding the wall-time or
-//!   simulated-cycle budget, with a retry policy for wall-time
-//!   overruns (panics and cycle overruns are deterministic, so they are
-//!   never retried);
-//! * a **supervised execution plane**: with [`Exec::job_deadline`] set,
-//!   the watchdog trips a cooperative
-//!   [`CancelToken`](vpsim_pipeline::CancelToken) threaded down into
-//!   the pipeline executor, aborting a hung attempt mid-simulation with
-//!   bounded latency; cancelled attempts retry with exponential
-//!   backoff, and [`Exec::campaign_deadline`] bounds the whole run;
+//! * one job ledger behind two worker backends: a std-only thread pool
+//!   ([`Exec::jobs`]) and a fleet of supervised worker subprocesses
+//!   ([`WorkerBackend::Process`]). The ledger owns every job decision:
+//!   a panicking job fails its cell, not the campaign; wall-budget
+//!   overruns are retried and simulated-cycle overruns flagged; with
+//!   [`Exec::job_deadline`] an overdue attempt's
+//!   [`CancelToken`](vpsim_pipeline::CancelToken) aborts it
+//!   mid-simulation and it retries with exponential backoff; and
+//!   [`Exec::campaign_deadline`] or [`Exec::cancel`] bound the run;
 //! * a pluggable sink I/O plane ([`SinkIo`]): the manifest writes
 //!   through [`RealIo`] in production and a seeded [`FaultyIo`] in the
 //!   torture suite, degrading gracefully (spill files, append-only
@@ -38,16 +34,13 @@
 //! * a resumable manifest ([`Exec::resume`]): an interrupted campaign
 //!   restarted with the same resume directory skips every job already
 //!   recorded there;
-//! * a **process-isolated backend** ([`WorkerBackend::Process`]): jobs
-//!   run in a fleet of supervised worker subprocesses (the binary
-//!   re-execed with `--worker-loop`, served by [`worker_loop`]) speaking
-//!   a length-prefixed protocol over stdin/stdout. `catch_unwind`
-//!   cannot contain aborts, stack overflows, or OOM kills — a process
-//!   boundary can. The supervisor heartbeat-checks workers, respawns
-//!   crashed ones with exponential backoff, relocates in-flight jobs
-//!   (coordinate-derived seeds make results bit-identical to the thread
-//!   backend), and deterministically quarantines *poisoned cells* whose
-//!   job crashes [`FleetConfig::poison_threshold`] distinct workers.
+//! * process isolation: `catch_unwind` cannot contain aborts, stack
+//!   overflows or OOM kills — a process boundary can. Fleet workers (the
+//!   binary re-execed with `--worker-loop`, served by [`worker_loop`])
+//!   are heartbeat-checked and respawned with backoff; a lost job is
+//!   re-dispatched with a bit-identical result, and one that crashes
+//!   [`FleetConfig::poison_threshold`] workers is quarantined as a
+//!   poisoned cell.
 //!
 //! ```no_run
 //! use vpsec::attacks::AttackCategory;
@@ -74,6 +67,7 @@ mod campaign;
 mod exec;
 mod fleet;
 mod io;
+mod ledger;
 mod pool;
 mod proto;
 mod sink;

@@ -1,495 +1,292 @@
-//! The std-only worker pool: a shared injector queue, per-job panic
-//! isolation, a supervising watchdog/progress thread, and retry
-//! policies for quarantined and cancelled jobs.
+//! The transport both backends share: one scoped thread per worker slot
+//! (a *lane*) pulls jobs from the campaign's [`Ledger`] behind one
+//! `Mutex` + `Condvar` and settles them back. A thread lane runs each
+//! job in-process with [`run_job`]; a process lane ([`crate::fleet`])
+//! forwards it to its worker subprocess. The calling thread supervises:
+//! it sleeps on the same condvar until the ledger's next timer (hard
+//! deadline, campaign deadline, cancel poll, progress line) and applies
+//! expiry and cancellation then.
 //!
-//! Scheduling never affects results — each job is a pure function of
-//! its `(cell, trial)` coordinates — so the pool is free to run jobs in
-//! any order on any number of threads. Failure handling follows from
-//! determinism too: a panic would recur on every retry, so panicking
-//! jobs fail immediately; a *wall-time* overrun may be host contention,
-//! so those jobs are quarantined and retried up to
-//! [`Exec::max_retries`] times; a simulated-cycle overrun is
-//! deterministic and is flagged, not retried.
-//!
-//! On top of the soft quarantine sits the **hard supervision plane**:
-//! when [`Exec::job_deadline`] is set, every attempt runs under its own
-//! [`CancelToken`], and the watchdog trips the token once the attempt
-//! exceeds its (per-retry doubled) deadline — the simulation unwinds at
-//! its next scheduler checkpoint instead of running to completion.
-//! Cancelled attempts re-enter the queue after an exponential backoff
-//! ([`Exec::retry_backoff`]); a cancelled final attempt permanently
-//! fails the job as [`JobFailure::Deadline`]. A tripped
-//! [`Exec::campaign_deadline`] cancels every in-flight attempt and
-//! drains the remaining queue as deadline failures, so `run_jobs`
-//! always resolves every pending job and returns.
+//! Every condition a waiter checks is ledger state behind the mutex, and
+//! every change a waiter needs is followed by a notify: a settle that
+//! re-queues or fails a job and the last result wake all waiters, and a
+//! lane whose new attempt brings the next timer forward wakes the
+//! supervisor. A wake-up therefore cannot fall between a check and its
+//! wait.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
-use vpsec::experiment::{CellPlan, PairOutcome};
-use vpsim_pipeline::CancelToken;
-
+use crate::campaign::CampaignStats;
 use crate::exec::Exec;
+use crate::ledger::{run_job, Batch, Job, JobResult, Ledger, OnDone, Outcome, Take};
 
-/// A schedulable unit: one paired trial of one cell.
-#[derive(Debug, Clone, Copy)]
-struct JobRef {
-    /// Index into the campaign's global job list.
-    index: usize,
-    cell: usize,
-    trial: usize,
-    /// Zero-based attempt counter (incremented on quarantine or
-    /// cancellation retry).
-    attempt: u32,
-    /// Backoff gate: the job is not eligible to run before this
-    /// instant (set on cancellation retries).
-    not_before: Option<Instant>,
-}
-
-/// A successfully finished job.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct JobDone {
-    pub pair: PairOutcome,
-    pub wall_nanos: u64,
-    pub attempts: u32,
-}
-
-/// Why a job permanently failed.
-#[derive(Debug, Clone)]
-pub(crate) enum JobFailure {
-    /// The job panicked; deterministic, so never retried.
-    Panic(String),
-    /// The job was cancelled on its final attempt (hard deadline) or
-    /// drained after the campaign deadline expired.
-    Deadline { attempts: u32 },
-    /// The job took down `crashes` distinct worker processes (abort,
-    /// OOM kill, ...) and was quarantined by the fleet supervisor
-    /// instead of crash-looping. Only the process backend produces
-    /// this.
-    Poisoned { crashes: u32 },
-}
-
-/// Counters shared by workers and the watchdog.
-#[derive(Debug, Default)]
-pub(crate) struct PoolStats {
-    pub jobs_run: AtomicU64,
-    pub retries: AtomicU64,
-    pub quarantined_wall: AtomicU64,
-    pub quarantined_cycles: AtomicU64,
-    pub panics: AtomicU64,
-    pub sim_cycles: AtomicU64,
-    /// Watchdog cancellations observed by running attempts.
-    pub cancelled: AtomicU64,
-    /// Cancelled attempts re-queued with backoff.
-    pub backoff_retries: AtomicU64,
-    /// Jobs permanently failed as timed out.
-    pub deadline_failed: AtomicU64,
-    /// Scheduler cycles actually ticked across completed jobs.
-    pub sched_ticks: AtomicU64,
-    /// Quiescent cycles skipped by the next-event clock.
-    pub sched_skipped: AtomicU64,
-    /// Worker processes that died unexpectedly (process backend only;
-    /// the thread backend leaves this at zero).
-    pub worker_crashes: AtomicU64,
-    /// Worker processes respawned after a death (process backend only).
-    pub worker_respawns: AtomicU64,
-}
-
-/// What the watchdog knows about a worker's in-flight attempt.
-struct Slot {
-    index: usize,
-    start: Instant,
-    attempt: u32,
-    token: CancelToken,
+struct State<'a> {
+    ledger: Ledger<'a>,
+    /// When the supervisor wakes on its own (`None`: only when notified).
+    wake_at: Option<Instant>,
+    /// Lanes still serving.
+    lanes: usize,
 }
 
 struct Shared<'a> {
-    plans: &'a [Option<CellPlan>],
-    exec: &'a Exec,
-    queue: Mutex<VecDeque<JobRef>>,
+    state: Mutex<State<'a>>,
     cond: Condvar,
-    /// Jobs not yet permanently resolved (done or failed).
-    outstanding: AtomicU64,
-    done: AtomicBool,
-    /// The campaign deadline expired: cancel everything, drain the rest.
-    expired: AtomicBool,
-    results: Mutex<Vec<Option<Result<JobDone, JobFailure>>>>,
-    /// Per-worker in-flight attempt, for the watchdog's stall
-    /// detection and cancellation delivery.
-    slots: Mutex<Vec<Option<Slot>>>,
-    stats: &'a PoolStats,
-    on_done: &'a (dyn Fn(usize, usize, &JobDone) + Sync),
 }
 
-impl Shared<'_> {
-    /// Pop the next eligible job: any job whose backoff gate has
-    /// passed, or — once the campaign deadline expired — any job at all
-    /// (the worker drains it as a failure without running it). Sleeps
-    /// on the condvar (bounded by the earliest backoff gate) when the
-    /// queue holds only gated jobs.
-    fn pop(&self) -> Option<JobRef> {
-        let mut q = self.queue.lock().expect("queue poisoned");
+impl<'a> Shared<'a> {
+    fn lock(&self) -> MutexGuard<'_, State<'a>> {
+        self.state.lock().expect("ledger lock poisoned")
+    }
+
+    /// Release the lock until notified or until `until` passes.
+    fn wait<'g>(
+        &self,
+        guard: MutexGuard<'g, State<'a>>,
+        until: Option<Instant>,
+    ) -> MutexGuard<'g, State<'a>> {
+        #[cfg(test)]
+        tests::delay_before_wait();
+        match until {
+            None => self.cond.wait(guard).expect("ledger lock poisoned"),
+            Some(t) => {
+                let timeout = t.saturating_duration_since(Instant::now());
+                self.cond
+                    .wait_timeout(guard, timeout)
+                    .expect("ledger lock poisoned")
+                    .0
+            }
+        }
+    }
+
+    /// Lane `slot` stopped serving: its pinned jobs go to any lane, and
+    /// when the last lane stops with jobs left (every process lane
+    /// abandoned) they fail rather than wait forever.
+    fn retire(&self, slot: usize) {
+        let mut state = self.lock();
+        state.lanes -= 1;
+        state.ledger.unpin(slot);
+        if state.lanes == 0 {
+            state.ledger.expire("every worker slot is abandoned");
+        }
+        drop(state);
+        self.cond.notify_all();
+    }
+
+    /// The calling thread's share: apply expiry, hard deadlines and the
+    /// progress line whenever the ledger's next timer fires.
+    fn supervise(&self) {
+        let mut state = self.lock();
         loop {
             let now = Instant::now();
-            let drain = self.expired.load(Ordering::Acquire);
-            if let Some(pos) = q
-                .iter()
-                .position(|j| drain || j.not_before.is_none_or(|t| t <= now))
-            {
-                return q.remove(pos);
+            state.ledger.expire_if_due(now);
+            state.ledger.overdue(now);
+            if let Some(line) = state.ledger.progress_line(now) {
+                eprintln!("{line}");
             }
-            if self.done.load(Ordering::Acquire) {
-                return None;
+            if state.ledger.finished() {
+                break;
             }
-            let next_gate = q.iter().filter_map(|j| j.not_before).min();
-            match next_gate {
-                Some(gate) => {
-                    let wait = gate.saturating_duration_since(now);
-                    let (guard, _) = self
-                        .cond
-                        .wait_timeout(q, wait.max(Duration::from_millis(1)))
-                        .expect("queue poisoned");
-                    q = guard;
-                }
-                None => q = self.cond.wait(q).expect("queue poisoned"),
-            }
+            state.wake_at = state.ledger.next_timer(now);
+            let until = state.wake_at;
+            state = self.wait(state, until);
         }
-    }
-
-    fn requeue(&self, job: JobRef) {
-        self.queue.lock().expect("queue poisoned").push_back(job);
-        self.cond.notify_one();
-    }
-
-    fn resolve(&self, index: usize, result: Result<JobDone, JobFailure>) {
-        self.results.lock().expect("results poisoned")[index] = Some(result);
-        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.done.store(true, Ordering::Release);
-            self.cond.notify_all();
-        }
+        drop(state);
+        // Expiry may have resolved the last job: release idle lanes.
+        self.cond.notify_all();
     }
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned())
+/// One worker slot's handle on the shared ledger.
+pub(crate) struct Lane<'s, 'a> {
+    shared: &'s Shared<'a>,
+    exec: &'a Exec,
+    on_done: &'s OnDone<'s>,
+    slot: usize,
+    idle_since: Instant,
 }
 
-fn worker(shared: &Shared<'_>, slot: usize) {
-    loop {
-        let wait_start = Instant::now();
-        let Some(job) = shared.pop() else { break };
-        if let Some(m) = &shared.exec.metrics {
-            m.queue_wait_seconds
-                .observe(wait_start.elapsed().as_secs_f64());
-        }
-        // Campaign deadline expired: resolve without running. Every
-        // queued job still gets a result, so the campaign reduction
-        // never sees a hole.
-        if shared.expired.load(Ordering::Acquire) {
-            shared.stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &shared.exec.metrics {
-                m.jobs_failed.inc();
-            }
-            shared.resolve(
-                job.index,
-                Err(JobFailure::Deadline {
-                    attempts: job.attempt,
-                }),
-            );
-            continue;
-        }
-        let plan = shared.plans[job.cell]
-            .as_ref()
-            .expect("queued jobs only reference planned cells");
-        let token = CancelToken::new();
-        let start = Instant::now();
-        shared.slots.lock().expect("slots poisoned")[slot] = Some(Slot {
-            index: job.index,
-            start,
-            attempt: job.attempt,
-            token: token.clone(),
-        });
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            plan.run_pair_supervised(job.trial, Some(&token))
-        }));
-        let elapsed = start.elapsed();
-        shared.slots.lock().expect("slots poisoned")[slot] = None;
-        if let Some(m) = &shared.exec.metrics {
-            m.run_seconds.observe(elapsed.as_secs_f64());
-        }
-        match result {
-            Ok(Ok(pair)) => {
-                let over_wall = elapsed > shared.exec.job_wall_budget;
-                if over_wall {
-                    shared
-                        .stats
-                        .quarantined_wall
-                        .fetch_add(1, Ordering::Relaxed);
-                    if job.attempt < shared.exec.max_retries {
-                        shared.stats.retries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = &shared.exec.metrics {
-                            m.retries.inc();
+impl<'a> Lane<'_, 'a> {
+    pub(crate) fn slot(&self) -> usize {
+        self.slot
+    }
+
+    /// Block until the ledger hands this lane a job; `None` once every
+    /// job is resolved.
+    pub(crate) fn next_job(&mut self) -> Option<Job> {
+        let job = {
+            let mut state = self.shared.lock();
+            loop {
+                let now = Instant::now();
+                match state.ledger.take(self.slot, now) {
+                    Take::Finished => return None,
+                    Take::Wait(gate) => state = self.shared.wait(state, gate),
+                    Take::Job(job) => {
+                        let sooner = state.ledger.next_timer(now);
+                        if sooner.is_some_and(|t| state.wake_at.is_none_or(|w| t < w)) {
+                            self.shared.cond.notify_all();
                         }
-                        shared.requeue(JobRef {
-                            attempt: job.attempt + 1,
-                            not_before: None,
-                            ..job
-                        });
-                        continue;
+                        break job;
                     }
                 }
-                if pair.total_cycles() > shared.exec.cycle_budget {
-                    shared
-                        .stats
-                        .quarantined_cycles
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                shared.stats.jobs_run.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .stats
-                    .sim_cycles
-                    .fetch_add(pair.total_cycles(), Ordering::Relaxed);
-                let sched = pair.sched();
-                shared
-                    .stats
-                    .sched_ticks
-                    .fetch_add(sched.ticks, Ordering::Relaxed);
-                shared
-                    .stats
-                    .sched_skipped
-                    .fetch_add(sched.skipped_cycles, Ordering::Relaxed);
-                if let Some(m) = &shared.exec.metrics {
-                    m.jobs_done.inc();
-                    m.sim_cycles.add(pair.total_cycles());
-                    m.sched_ticks.add(sched.ticks);
-                    m.sched_skipped.add(sched.skipped_cycles);
-                }
-                let done = JobDone {
-                    pair,
-                    wall_nanos: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-                    attempts: job.attempt + 1,
-                };
-                let sink_start = Instant::now();
-                (shared.on_done)(job.cell, job.trial, &done);
-                if let Some(m) = &shared.exec.metrics {
-                    m.sink_seconds.observe(sink_start.elapsed().as_secs_f64());
-                }
-                shared.resolve(job.index, Ok(done));
             }
-            Ok(Err(_interrupted)) => {
-                shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                let expired = shared.expired.load(Ordering::Acquire);
-                if expired || job.attempt >= shared.exec.max_retries {
-                    shared.stats.deadline_failed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = &shared.exec.metrics {
-                        m.jobs_failed.inc();
-                    }
-                    shared.resolve(
-                        job.index,
-                        Err(JobFailure::Deadline {
-                            attempts: job.attempt + 1,
-                        }),
-                    );
-                } else {
-                    shared.stats.backoff_retries.fetch_add(1, Ordering::Relaxed);
-                    let backoff = shared.exec.backoff_for_attempt(job.attempt);
-                    if let Some(m) = &shared.exec.metrics {
-                        m.retries.inc();
-                        m.backoff_seconds.observe(backoff.as_secs_f64());
-                    }
-                    shared.requeue(JobRef {
-                        attempt: job.attempt + 1,
-                        not_before: Some(Instant::now() + backoff),
-                        ..job
-                    });
-                }
-            }
-            Err(payload) => {
-                shared.stats.panics.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &shared.exec.metrics {
-                    m.jobs_failed.inc();
-                }
-                shared.resolve(
-                    job.index,
-                    Err(JobFailure::Panic(panic_message(payload.as_ref()))),
-                );
-            }
+        };
+        if let Some(m) = &self.exec.metrics {
+            m.queue_wait_seconds
+                .observe(self.idle_since.elapsed().as_secs_f64());
         }
+        Some(job)
+    }
+
+    /// Settle this lane's attempt; a finished job reaches `on_done`
+    /// after the lock is released.
+    pub(crate) fn settle(&mut self, outcome: Outcome) {
+        let settled = {
+            let mut state = self.shared.lock();
+            let settled = state.ledger.settle(self.slot, outcome, Instant::now());
+            if settled.is_none() || state.ledger.finished() {
+                // A retry (maybe behind a new gate), a failure, or the
+                // last job: every waiter must re-check.
+                self.shared.cond.notify_all();
+            }
+            settled
+        };
+        if let Some(rec) = settled {
+            (self.on_done)(&rec);
+        }
+        self.idle_since = Instant::now();
+    }
+
+    /// Apply `change` to the ledger for this lane's slot, then wake
+    /// every waiter to re-check.
+    pub(crate) fn update<R>(&self, change: impl FnOnce(&mut Ledger<'a>, usize) -> R) -> R {
+        let r = change(&mut self.shared.lock().ledger, self.slot);
+        self.shared.cond.notify_all();
+        r
+    }
+
+    /// Sleep until `t`; `false` if every job resolved first.
+    pub(crate) fn wait_until(&self, t: Instant) -> bool {
+        let mut state = self.shared.lock();
+        while !state.ledger.finished() && Instant::now() < t {
+            state = self.shared.wait(state, Some(t));
+        }
+        !state.ledger.finished()
     }
 }
 
-/// The watchdog doubles as the progress reporter and the cancellation
-/// authority: it periodically logs throughput (when enabled), warns
-/// about jobs running past the soft wall budget, **trips the cancel
-/// token** of attempts exceeding their hard deadline, and enforces the
-/// campaign deadline budget. The soft-quarantine decision itself is
-/// still taken by the worker at job completion, where the elapsed time
-/// is exact.
-fn watchdog(shared: &Shared<'_>, campaign: &str, total: usize, resumed: usize) {
-    let started = Instant::now();
-    let mut warned: Vec<usize> = Vec::new();
-    let mut last_report = Instant::now();
-    while !shared.done.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(50));
-        let externally_cancelled = shared
-            .exec
-            .cancel
-            .as_ref()
-            .is_some_and(vpsim_pipeline::CancelToken::is_cancelled);
-        let campaign_over = externally_cancelled
-            || shared
-                .exec
-                .campaign_deadline
-                .is_some_and(|budget| started.elapsed() > budget);
-        if campaign_over && !shared.expired.swap(true, Ordering::AcqRel) {
-            if externally_cancelled {
-                eprintln!(
-                    "[{campaign}] watchdog: external cancellation requested; \
-                     cancelling in-flight jobs and draining the queue"
-                );
-            } else {
-                eprintln!(
-                    "[{campaign}] watchdog: campaign deadline {:?} exhausted; \
-                     cancelling in-flight jobs and draining the queue",
-                    shared.exec.campaign_deadline.unwrap_or_default()
-                );
-            }
-            // Wake gated sleepers so the queue drains immediately.
-            shared.cond.notify_all();
+/// Run the batch's pending jobs on `lanes` threads, each served by
+/// `serve`, and return one result per pending job, in batch order, with
+/// the run counters.
+pub(crate) fn run_lanes(
+    batch: &Batch<'_>,
+    exec: &Exec,
+    lanes: usize,
+    poison_threshold: u32,
+    on_done: &OnDone<'_>,
+    serve: &(dyn Fn(Lane<'_, '_>) + Sync),
+) -> (Vec<Option<JobResult>>, CampaignStats) {
+    let ledger = Ledger::new(batch, exec, lanes, poison_threshold, Instant::now());
+    // Nothing pending, or a pre-tripped cancel drained it all: no lanes.
+    let lanes = if ledger.finished() { 0 } else { lanes };
+    let shared = Shared {
+        state: Mutex::new(State {
+            ledger,
+            wake_at: None,
+            lanes,
+        }),
+        cond: Condvar::new(),
+    };
+    std::thread::scope(|scope| {
+        for slot in 0..lanes {
+            let shared = &shared;
+            scope.spawn(move || {
+                serve(Lane {
+                    shared,
+                    exec,
+                    on_done,
+                    slot,
+                    idle_since: Instant::now(),
+                });
+                shared.retire(slot);
+            });
         }
-        for slot in shared
-            .slots
-            .lock()
-            .expect("slots poisoned")
-            .iter()
-            .flatten()
-        {
-            let elapsed = slot.start.elapsed();
-            if campaign_over && !slot.token.is_cancelled() {
-                slot.token.cancel();
-                continue;
-            }
-            if let Some(deadline) = shared.exec.deadline_for_attempt(slot.attempt) {
-                if elapsed > deadline && !slot.token.is_cancelled() {
-                    slot.token.cancel();
-                    eprintln!(
-                        "[{campaign}] watchdog: job {} exceeded its hard deadline \
-                         ({deadline:?}, attempt {}); cancelling mid-simulation",
-                        slot.index,
-                        slot.attempt + 1
-                    );
-                    continue;
-                }
-            }
-            if elapsed > shared.exec.job_wall_budget && !warned.contains(&slot.index) {
-                warned.push(slot.index);
-                eprintln!(
-                    "[{campaign}] watchdog: job {} over wall budget ({:?}), \
-                     will quarantine on completion",
-                    slot.index, shared.exec.job_wall_budget
-                );
-            }
-        }
-        if shared.exec.progress && last_report.elapsed() >= Duration::from_secs(1) {
-            last_report = Instant::now();
-            let run = shared.stats.jobs_run.load(Ordering::Relaxed) as usize;
-            let secs = started.elapsed().as_secs_f64().max(1e-9);
-            let mut line = format!(
-                "[{campaign}] {}/{total} jobs ({resumed} resumed), {:.1} jobs/s, {:.1} Mcycles simulated",
-                resumed + run,
-                run as f64 / secs,
-                shared.stats.sim_cycles.load(Ordering::Relaxed) as f64 / 1e6
-            );
-            let ticks = shared.stats.sched_ticks.load(Ordering::Relaxed);
-            let skipped = shared.stats.sched_skipped.load(Ordering::Relaxed);
-            if ticks + skipped > 0 {
-                line.push_str(&format!(
-                    " ({:.1}% cycles skipped)",
-                    skipped as f64 / (ticks + skipped) as f64 * 100.0
-                ));
-            }
-            let cancelled = shared.stats.cancelled.load(Ordering::Relaxed);
-            let backoff = shared.stats.backoff_retries.load(Ordering::Relaxed);
-            let wall_q = shared.stats.quarantined_wall.load(Ordering::Relaxed);
-            if cancelled + backoff + wall_q > 0 {
-                line.push_str(&format!(
-                    "; {cancelled} cancelled ({backoff} backoff-retried), \
-                     {wall_q} wall-quarantined"
-                ));
-            }
-            eprintln!("{line}");
-        }
-    }
+        shared.supervise();
+    });
+    shared
+        .state
+        .into_inner()
+        .expect("ledger lock poisoned")
+        .ledger
+        .into_parts()
 }
 
-/// The work a single pool run executes: the campaign's cell plans, the
-/// still-pending jobs (as positions into the campaign-global job list),
-/// and the bookkeeping the progress reporter needs.
-pub(crate) struct Batch<'a> {
-    pub campaign: &'a str,
-    pub plans: &'a [Option<CellPlan>],
-    pub pending: &'a [(usize, usize, usize)],
-    pub total_jobs: usize,
-    pub resumed: usize,
-}
-
-/// Run the batch's pending jobs and return one result per global job
-/// index; indices not in `batch.pending` stay `None`.
+/// The thread backend: [`Exec::effective_jobs`] lanes running jobs
+/// in-process.
 pub(crate) fn run_jobs(
     batch: &Batch<'_>,
     exec: &Exec,
-    stats: &PoolStats,
-    on_done: &(dyn Fn(usize, usize, &JobDone) + Sync),
-) -> Vec<Option<Result<JobDone, JobFailure>>> {
-    if batch.pending.is_empty() {
-        return vec![None; batch.total_jobs];
-    }
-    let shared = Shared {
-        plans: batch.plans,
+    on_done: &OnDone<'_>,
+) -> (Vec<Option<JobResult>>, CampaignStats) {
+    run_lanes(
+        batch,
         exec,
-        queue: Mutex::new(
-            batch
-                .pending
-                .iter()
-                .map(|&(index, cell, trial)| JobRef {
-                    index,
-                    cell,
-                    trial,
-                    attempt: 0,
-                    not_before: None,
-                })
-                .collect(),
-        ),
-        cond: Condvar::new(),
-        outstanding: AtomicU64::new(batch.pending.len() as u64),
-        done: AtomicBool::new(false),
-        // A pre-tripped external cancel token (e.g. resuming a campaign
-        // that was cancelled before the restart) drains the whole queue
-        // without running a single job.
-        expired: AtomicBool::new(
-            exec.cancel
-                .as_ref()
-                .is_some_and(vpsim_pipeline::CancelToken::is_cancelled),
-        ),
-        results: Mutex::new(vec![None; batch.total_jobs]),
-        slots: Mutex::new((0..exec.effective_jobs()).map(|_| None).collect()),
-        stats,
+        exec.effective_jobs(),
+        u32::MAX,
         on_done,
-    };
-    std::thread::scope(|scope| {
-        for slot in 0..exec.effective_jobs() {
-            let shared = &shared;
-            scope.spawn(move || worker(shared, slot));
-        }
-        let shared = &shared;
-        scope.spawn(move || watchdog(shared, batch.campaign, batch.total_jobs, batch.resumed));
-    });
-    shared.results.into_inner().expect("results poisoned")
+        &|mut lane| {
+            while let Some(job) = lane.next_job() {
+                let plan = batch.plans[job.cell]
+                    .as_ref()
+                    .expect("queued jobs only reference planned cells");
+                lane.settle(run_job(plan, job.trial, &job.token));
+            }
+        },
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use vpsec::attacks::AttackCategory;
+    use vpsec::experiment::{Channel, ExperimentConfig, PredictorKind};
+
+    use crate::Exec;
+
+    /// Milliseconds every waiter sleeps, lock held, between deciding to
+    /// wait and waiting.
+    static WAIT_DELAY_MS: AtomicU64 = AtomicU64::new(0);
+
+    pub(super) fn delay_before_wait() {
+        let ms = WAIT_DELAY_MS.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(ms));
+    }
+
+    /// A delay between the "nothing to take" decision and the wait hung
+    /// every run when the last result was published outside the lock.
+    /// With the ledger behind the mutex it only slows the run down.
+    #[test]
+    fn a_delayed_wait_cannot_miss_the_last_wakeup() {
+        WAIT_DELAY_MS.store(20, Ordering::Relaxed);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = ExperimentConfig {
+                trials: 12,
+                ..ExperimentConfig::default()
+            };
+            let exec = Exec {
+                jobs: 2,
+                ..Exec::default()
+            };
+            let (category, channel) = (AttackCategory::TrainTest, Channel::TimingWindow);
+            let eval = crate::evaluate(category, channel, PredictorKind::Lvp, &cfg, &exec);
+            let _ = tx.send(eval.mapped.len());
+        });
+        let observed = rx.recv_timeout(Duration::from_secs(60));
+        WAIT_DELAY_MS.store(0, Ordering::Relaxed);
+        assert_eq!(observed.expect("the campaign hung on a lost wakeup"), 12);
+    }
 }

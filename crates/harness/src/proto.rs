@@ -14,13 +14,12 @@
 //!   canonical [`CampaignSpec`](crate::CampaignSpec) JSON — the full
 //!   plan, sent once per spawn so every job after it is a tiny
 //!   coordinate pair. Then `job` / `cancel` / `exit` control frames.
-//! * **worker → supervisor** (stdout): `ready` once the plan is built,
-//!   `hb` heartbeats on a fixed cadence from a dedicated thread (so
-//!   liveness is observable even while a simulation runs), and one
-//!   terminal frame per job — `done` (a [`JobRecord`] line, bit-exact
-//!   through the same hex encoding the manifest uses), `cancelled`, or
-//!   `panic`. A `fatal` frame reports a worker that cannot serve at all
-//!   (unparseable spec).
+//! * **worker → supervisor** (stdout): `hb` heartbeats on a fixed
+//!   cadence from a dedicated thread (so liveness is observable even
+//!   while a simulation runs), and one terminal frame per job — `done`
+//!   (a [`JobRecord`] line, bit-exact through the same hex encoding the
+//!   manifest uses), `cancelled`, or `panic`. A `fatal` frame reports a
+//!   worker that cannot serve at all (unparseable spec).
 //!
 //! Because job results travel as [`JobRecord`] lines, a result computed
 //! in a subprocess is byte-for-byte the record an in-process worker
@@ -133,8 +132,6 @@ impl ToWorker {
 /// An event frame a worker sends on its stdout.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FromWorker {
-    /// The spec frame parsed and the cell plans are built.
-    Ready { jobs: u64 },
     /// Periodic liveness beacon from the worker's heartbeat thread.
     Heartbeat,
     /// One job finished; the full manifest-format record.
@@ -155,7 +152,6 @@ pub(crate) enum FromWorker {
 impl FromWorker {
     pub(crate) fn encode(&self) -> String {
         match self {
-            FromWorker::Ready { jobs } => format!("{{\"ev\":\"ready\",\"jobs\":{jobs}}}"),
             FromWorker::Heartbeat => "{\"ev\":\"hb\"}".to_owned(),
             // Splice the `ev` tag into the record's own line so the
             // payload fields stay byte-identical to the manifest form.
@@ -179,9 +175,6 @@ impl FromWorker {
 
     pub(crate) fn parse(line: &str) -> Option<FromWorker> {
         match field_str(line, "ev")? {
-            "ready" => Some(FromWorker::Ready {
-                jobs: field_u64(line, "jobs")?,
-            }),
             "hb" => Some(FromWorker::Heartbeat),
             "done" => JobRecord::parse(line).map(FromWorker::Done),
             "cancelled" => Some(FromWorker::Cancelled {
@@ -279,7 +272,6 @@ mod tests {
             attempts: 1,
         };
         for msg in [
-            FromWorker::Ready { jobs: 12 },
             FromWorker::Heartbeat,
             FromWorker::Done(rec),
             FromWorker::Cancelled { cell: 1, trial: 2 },

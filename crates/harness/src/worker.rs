@@ -13,13 +13,13 @@
 //!   the supervisor can distinguish "building plans" from "dead" at
 //!   every point of the worker's life. A write failure means the
 //!   supervisor is gone — the worker exits rather than orphan itself.
-//! * the **reader thread** owns stdin. `job` frames flow to the main
-//!   thread over a channel; `cancel` frames trip the matching in-flight
-//!   job's [`CancelToken`] directly — or are parked in a pending list
-//!   when they arrive before the job frame has been picked up, closing
-//!   the race where a cancel would otherwise be dropped on the floor.
-//! * the **main thread** runs one job at a time under `catch_unwind`,
-//!   exactly like an in-process pool worker, and reports `done` /
+//! * the **reader thread** owns stdin once the main thread has read the
+//!   spec frame. It hands each `job` frame to the main thread with a
+//!   fresh [`CancelToken`] and trips that token when the job's `cancel`
+//!   frame arrives. Frames are read in order, so a cancel can never
+//!   overtake its job, even before the main thread picks the job up.
+//! * the **main thread** runs one job at a time through the same
+//!   `run_job` as an in-process pool worker, and reports `done` /
 //!   `cancelled` / `panic`. Anything `catch_unwind` cannot contain
 //!   (abort, OOM kill, SIGKILL) takes down only this process — that is
 //!   the whole point of the backend.
@@ -40,14 +40,13 @@
 //!   flush.
 
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use vpsim_pipeline::CancelToken;
 
-use crate::pool::panic_message;
+use crate::ledger::{run_job, Outcome};
 use crate::proto::{read_frame, write_frame, FromWorker, ToWorker};
 use crate::sink::JobRecord;
 use crate::spec::CampaignSpec;
@@ -56,27 +55,6 @@ use crate::spec::CampaignSpec;
 /// [`FleetConfig::heartbeat_timeout`](crate::FleetConfig) is 20× this,
 /// so a worker must miss many beats before it is declared dead.
 pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Everything the reader thread hands to the main thread.
-enum Input {
-    Spec(String),
-    Job {
-        cell: usize,
-        trial: usize,
-        attempt: u32,
-    },
-    /// `exit` frame, EOF, or a read error: drain and leave.
-    Shutdown,
-}
-
-/// Cancellation state shared between the reader and main threads.
-struct CancelState {
-    /// The in-flight job's coordinates and its cancel token.
-    current: Option<((usize, usize), CancelToken)>,
-    /// Cancels that arrived before their job frame was picked up; the
-    /// main thread pre-trips the token when it starts such a job.
-    pending: Vec<(usize, usize)>,
-}
 
 /// Write one frame under the shared stdout lock (frames from the
 /// heartbeat and main threads must never interleave).
@@ -113,71 +91,40 @@ pub fn worker_loop() -> i32 {
         });
     }
 
-    let cancel = Arc::new(Mutex::new(CancelState {
-        current: None,
-        pending: Vec::new(),
-    }));
-    let (tx, rx) = mpsc::channel::<Input>();
-    {
-        let cancel = Arc::clone(&cancel);
-        std::thread::spawn(move || {
-            let mut stdin = io::stdin().lock();
-            // First frame is the campaign spec document itself.
-            match read_frame(&mut stdin) {
-                Ok(Some(spec)) => {
-                    if tx.send(Input::Spec(spec)).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => {
-                    let _ = tx.send(Input::Shutdown);
-                    return;
-                }
-            }
-            loop {
-                match read_frame(&mut stdin) {
-                    Ok(Some(line)) => match ToWorker::parse(&line) {
-                        Some(ToWorker::Job {
-                            cell,
-                            trial,
-                            attempt,
-                        }) => {
-                            if tx
-                                .send(Input::Job {
-                                    cell,
-                                    trial,
-                                    attempt,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        Some(ToWorker::Cancel { cell, trial }) => {
-                            let mut st = cancel.lock().expect("cancel state poisoned");
-                            match &st.current {
-                                Some((coord, token)) if *coord == (cell, trial) => token.cancel(),
-                                _ => st.pending.push((cell, trial)),
-                            }
-                        }
-                        Some(ToWorker::Exit) | None => {
-                            let _ = tx.send(Input::Shutdown);
-                            return;
-                        }
-                    },
-                    Ok(None) | Err(_) => {
-                        let _ = tx.send(Input::Shutdown);
-                        return;
-                    }
-                }
-            }
-        });
-    }
-
-    let spec_json = match rx.recv() {
-        Ok(Input::Spec(s)) => s,
-        _ => return 0,
+    // The first frame is the campaign spec document itself.
+    let Ok(Some(spec_json)) = read_frame(&mut io::stdin().lock()) else {
+        return 0;
     };
+    // The reader thread hangs up the channel on `exit`, EOF or a read
+    // error.
+    let (tx, rx) = mpsc::channel::<(usize, usize, u32, CancelToken)>();
+    std::thread::spawn(move || {
+        let mut stdin = io::stdin().lock();
+        let mut current: Option<((usize, usize), CancelToken)> = None;
+        while let Ok(Some(line)) = read_frame(&mut stdin) {
+            match ToWorker::parse(&line) {
+                Some(ToWorker::Job {
+                    cell,
+                    trial,
+                    attempt,
+                }) => {
+                    let token = CancelToken::new();
+                    current = Some(((cell, trial), token.clone()));
+                    if tx.send((cell, trial, attempt, token)).is_err() {
+                        return;
+                    }
+                }
+                Some(ToWorker::Cancel { cell, trial }) => {
+                    if let Some((_, token)) = current.as_ref().filter(|(c, _)| *c == (cell, trial))
+                    {
+                        token.cancel();
+                    }
+                }
+                Some(ToWorker::Exit) | None => return,
+            }
+        }
+    });
+
     let spec = match CampaignSpec::parse(&spec_json) {
         Ok(spec) => spec,
         Err(e) => {
@@ -190,14 +137,7 @@ pub fn worker_loop() -> i32 {
             return 2;
         }
     };
-    let campaign = spec.to_campaign();
-    let plans = campaign.plans();
-    let _ = send(
-        &out,
-        &FromWorker::Ready {
-            jobs: campaign.num_jobs() as u64,
-        },
-    );
+    let plans = spec.to_campaign().plans();
 
     let abort_on = coord_env("VPSIM_TEST_WORKER_ABORT");
     let hang_on = coord_env("VPSIM_TEST_WORKER_HANG");
@@ -206,16 +146,8 @@ pub fn worker_loop() -> i32 {
         .and_then(|v| v.parse().ok());
 
     let mut completed = 0u64;
-    loop {
-        let (cell, trial, attempt) = match rx.recv() {
-            Ok(Input::Job {
-                cell,
-                trial,
-                attempt,
-            }) => (cell, trial, attempt),
-            Ok(Input::Spec(_)) => continue,
-            Ok(Input::Shutdown) | Err(_) => return 0,
-        };
+    // A hung-up channel is a clean drain.
+    while let Ok((cell, trial, attempt, token)) = rx.recv() {
         if abort_on == Some((cell, trial)) {
             std::process::abort();
         }
@@ -236,24 +168,9 @@ pub fn worker_loop() -> i32 {
             );
             continue;
         };
-        let token = CancelToken::new();
-        {
-            let mut st = cancel.lock().expect("cancel state poisoned");
-            if let Some(pos) = st.pending.iter().position(|&c| c == (cell, trial)) {
-                // The cancel raced ahead of the job frame: honor it.
-                st.pending.remove(pos);
-                token.cancel();
-            }
-            st.current = Some(((cell, trial), token.clone()));
-        }
-        let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            plan.run_pair_supervised(trial, Some(&token))
-        }));
-        let wall_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        cancel.lock().expect("cancel state poisoned").current = None;
-        let msg = match result {
-            Ok(Ok(pair)) => {
+        let outcome = run_job(plan, trial, &token);
+        let msg = match outcome {
+            Outcome::Done { pair, wall_nanos } => {
                 completed += 1;
                 if exit_after.is_some_and(|n| completed >= n) {
                     std::process::abort();
@@ -266,17 +183,18 @@ pub fn worker_loop() -> i32 {
                     attempts: attempt + 1,
                 })
             }
-            Ok(Err(_interrupted)) => FromWorker::Cancelled { cell, trial },
-            Err(payload) => FromWorker::Panicked {
+            Outcome::Cancelled => FromWorker::Cancelled { cell, trial },
+            Outcome::Panicked(message) => FromWorker::Panicked {
                 cell,
                 trial,
-                message: panic_message(payload.as_ref()),
+                message,
             },
         };
         if !send(&out, &msg) {
             return 1;
         }
     }
+    0
 }
 
 // The loop itself is exercised end-to-end (real subprocesses, real

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for in-flight simulations.
 //!
 //! A [`CancelToken`] is a shared kill flag: the supervising side (a
-//! watchdog thread, a deadline budget) trips it, and the executor
+//! campaign supervisor, a deadline budget) trips it, and the executor
 //! observes the trip at its scheduler loop boundary and unwinds with
 //! [`RunError::Cancelled`](crate::RunError). Cancellation is
 //! *cooperative* — nothing is interrupted mid-phase, so machine state

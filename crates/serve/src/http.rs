@@ -225,16 +225,20 @@ pub fn respond_with_headers(
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
-    write!(
-        stream,
+    // One buffer, one write: a shed connection is closed with its
+    // request unread, and the reset that follows must not cut a
+    // response that is still being written piecemeal.
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\n\
          content-length: {}\r\nconnection: close\r\n",
         body.len()
-    )?;
+    );
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        response.push_str(&format!("{name}: {value}\r\n"));
     }
-    write!(stream, "\r\n{body}")?;
+    response.push_str("\r\n");
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

@@ -55,8 +55,8 @@
 //!   or another client.
 //!
 //! The daemon fronts the existing `vpsim-harness` execution machinery
-//! (worker pool, watchdog, supervised cancellation, fault-tolerant
-//! sink I/O); this crate adds only the serving plane.
+//! (job ledger, thread and process workers, supervised cancellation,
+//! fault-tolerant sink I/O); this crate adds only the serving plane.
 
 #![forbid(unsafe_code)]
 

@@ -184,8 +184,8 @@ impl Entry {
         *state = next;
     }
 
-    /// Request cancellation: trips the cancel token (the campaign's
-    /// watchdog drains the queue) and marks the entry.
+    /// Request cancellation: trips the cancel token (the campaign's job
+    /// ledger drains the queue) and marks the entry.
     pub fn request_cancel(&self) {
         self.cancel.cancel();
         self.set_state(CampaignState::Cancelled);

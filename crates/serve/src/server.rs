@@ -266,9 +266,9 @@ impl Server {
         self.inner.addr
     }
 
-    /// Request a graceful stop: running campaigns are cooperatively
-    /// cancelled (their manifests keep every completed job, so a
-    /// restart resumes them), queued ones are left persisted.
+    /// Request a graceful stop: every campaign not yet finished is
+    /// cooperatively cancelled (its manifest keeps every completed job
+    /// and its spec stays persisted, so a restart resumes it).
     pub fn shutdown(&self) {
         request_shutdown(&self.inner);
     }
@@ -281,18 +281,29 @@ impl Server {
     }
 }
 
-/// Set the shutdown flag, wake the runner pool, trip every running
+/// Set the shutdown flag, wake the runner pool, trip every unfinished
 /// campaign, and nudge the accept loop out of `accept()`.
 fn request_shutdown(inner: &Arc<Inner>) {
-    if inner.shutdown.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    for entry in inner.entries.lock().expect("entries poisoned").values() {
-        if entry.state() == CampaignState::Running {
-            entry.cancel.cancel();
+    {
+        // Under the queue lock: `runner_loop` checks the flag under it
+        // before waiting, so the wake-up below cannot fall in between.
+        let _queue = inner.queue.lock().expect("queue poisoned");
+        if inner.shutdown.swap(true, Ordering::AcqRel) {
+            return;
         }
     }
     inner.queue_cond.notify_all();
+    // Queued entries too: a runner may have popped one that is not yet
+    // `Running`. The token lives in memory only; a restart re-registers
+    // the campaign with a fresh one.
+    for entry in inner.entries.lock().expect("entries poisoned").values() {
+        if !matches!(
+            entry.state(),
+            CampaignState::Done | CampaignState::Failed | CampaignState::Cancelled
+        ) {
+            entry.cancel.cancel();
+        }
+    }
     // The accept loop blocks in accept(); a throwaway connection makes
     // it re-check the flag.
     let _ = TcpStream::connect(inner.addr);

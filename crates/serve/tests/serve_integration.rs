@@ -211,6 +211,43 @@ fn graceful_restart_resumes_and_streams_identical_payloads() {
     let _ = std::fs::remove_dir_all(&ref_state);
 }
 
+/// Shutting down right after a submission must not strand a runner:
+/// `join` returns within a bound even when the campaign was popped but
+/// not yet running, and a restart resumes the campaign to completion.
+#[test]
+fn shutdown_right_after_submit_joins_promptly_and_restart_resumes() {
+    let state = temp_dir("early-shutdown");
+    let server = start(&state, 1, 2);
+    let addr = server.addr().to_string();
+    let id = submit(&addr, &spec_json("early", 150));
+    server.shutdown();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("join must return promptly after shutdown");
+
+    let server = start(&state, 1, 2);
+    let addr = server.addr().to_string();
+    let lines = collect_stream(&addr, id);
+    assert!(
+        lines.last().unwrap().contains("\"state\":\"done\""),
+        "the resumed campaign must finish: {:?}",
+        lines.last()
+    );
+    let results = lines
+        .iter()
+        .filter(|l| l.contains("\"type\":\"result\""))
+        .count();
+    assert_eq!(results, 300, "150 trials x 2 cells, each exactly once");
+
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 /// Minimal Prometheus-exposition checker: every sample line must belong
 /// to a family announced by exactly one `# TYPE` line, families must
 /// appear in stable (sorted) order, and no series may repeat.
@@ -496,10 +533,12 @@ fn slowloris_half_request_does_not_block_healthz_and_is_evicted() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
-/// Connections past the cap are shed immediately with `503` and a
-/// `Retry-After` hint, and the shedding is visible in `/metrics`.
+/// Connections past the cap are shed immediately with a whole `503`
+/// response carrying a `Retry-After` hint, and every shed is counted in
+/// `/metrics`.
 #[test]
 fn excess_connections_are_shed_with_503_and_retry_after() {
+    const PROBES: usize = 20;
     let state = temp_dir("conncap");
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -518,28 +557,46 @@ fn excess_connections_are_shed_with_503_and_retry_after() {
     let hog_b = std::net::TcpStream::connect(&addr).expect("connect");
     std::thread::sleep(Duration::from_millis(200)); // let accepts land
 
-    let out = raw_roundtrip(&addr, "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n");
-    assert!(out.starts_with("HTTP/1.1 503"), "{out:?}");
-    assert!(
-        out.to_ascii_lowercase().contains("retry-after: 1"),
-        "shed response must carry a Retry-After hint: {out:?}"
-    );
+    for probe in 0..PROBES {
+        let out = raw_roundtrip(&addr, "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n");
+        let (head, body) = out
+            .split_once("\r\n\r\n")
+            .unwrap_or_else(|| panic!("probe {probe}: truncated response {out:?}"));
+        let head = head.to_ascii_lowercase();
+        assert!(
+            head.starts_with("http/1.1 503 service unavailable\r\n"),
+            "probe {probe}: {out:?}"
+        );
+        assert!(
+            head.contains("\r\nretry-after: 1"),
+            "probe {probe}: shed response must carry a Retry-After hint: {out:?}"
+        );
+        assert!(
+            head.contains(&format!("\r\ncontent-length: {}", body.len())),
+            "probe {probe}: shed body must arrive whole: {out:?}"
+        );
+    }
     drop(hog_a);
     drop(hog_b);
 
-    // With the slots free again the daemon serves normally and the
-    // shed is counted.
+    // With the slots free again the daemon serves normally. A `/metrics`
+    // attempt made while the hogs' handlers are still exiting is itself
+    // shed, so the counter must equal the probes plus those attempts.
     let started = Instant::now();
+    let mut shed_metrics_attempts = 0;
     loop {
-        if let Ok(r) = client::request(&addr, "GET", "/metrics", None) {
-            if r.status == 200 {
+        match client::request(&addr, "GET", "/metrics", None) {
+            Ok(r) if r.status == 200 => {
+                let expected = PROBES + shed_metrics_attempts;
                 assert!(
-                    r.body.contains("vpsim_shed_requests_total 1"),
-                    "shed counter missing: {}",
+                    r.body
+                        .contains(&format!("vpsim_shed_requests_total {expected}\n")),
+                    "shed counter must read {expected}: {}",
                     r.body
                 );
                 break;
             }
+            _ => shed_metrics_attempts += 1,
         }
         assert!(
             started.elapsed() < Duration::from_secs(10),
