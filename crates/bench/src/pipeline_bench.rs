@@ -21,7 +21,7 @@ use vpsec::experiment::Channel;
 use vpsim_isa::{AluOp, ProgramBuilder, Reg};
 use vpsim_mem::MemoryConfig;
 use vpsim_obs::RingRecorder;
-use vpsim_pipeline::{CoreConfig, Machine, SchedStats};
+use vpsim_pipeline::{CoreConfig, Machine, RunCtl, SchedStats};
 use vpsim_predictor::{Lvp, LvpConfig, NoPredictor, ValuePredictor, Vtage, VtageConfig};
 use vpsim_rng::SmallRng;
 
@@ -172,12 +172,13 @@ fn run_trial_cell(
     for _ in 0..t.iterations {
         for step in &trial.steps {
             for _ in 0..step.repeat {
-                let r = if traced {
-                    machine.run_traced(step.party.pid(), &step.program, &mut ring)
-                } else {
-                    machine.run(step.party.pid(), &step.program)
-                }
-                .unwrap_or_else(|e| panic!("bench step `{}` failed: {e}", step.label));
+                let ctl = RunCtl {
+                    cancel: None,
+                    tracer: traced.then_some(&mut ring),
+                };
+                let r = machine
+                    .run_with(step.party.pid(), &step.program, ctl)
+                    .unwrap_or_else(|e| panic!("bench step `{}` failed: {e}", step.label));
                 cycles += r.cycles;
                 sched.merge(&r.sched);
             }
@@ -204,12 +205,11 @@ fn run_kernel_cell(
     }
     let mut ring = RingRecorder::new(BENCH_TRACE_CAPACITY);
     let start = Instant::now();
-    let r = if traced {
-        m.run_traced(0, &w.program, &mut ring)
-    } else {
-        m.run(0, &w.program)
-    }
-    .expect("bench kernel halts");
+    let ctl = RunCtl {
+        cancel: None,
+        tracer: traced.then_some(&mut ring),
+    };
+    let r = m.run_with(0, &w.program, ctl).expect("bench kernel halts");
     (r.cycles, start.elapsed().as_nanos(), r.sched)
 }
 

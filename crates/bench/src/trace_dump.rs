@@ -1,7 +1,7 @@
 //! Deterministic per-trial event-trace dumps (`repro --trace`).
 //!
 //! The dump runs a small fixed *traced zoo* — one cell per evaluated
-//! channel — through [`CellPlan::run_pair_traced`], strictly
+//! channel — through [`CellPlan::run_pair_with`], strictly
 //! sequentially in `(cell, trial, arm)` order with a fresh bounded
 //! [`RingRecorder`] per arm. Every seed is a pure function of the cell
 //! coordinates and trial index, so the emitted JSONL is byte-identical
@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use vpsec::attacks::AttackCategory;
 use vpsec::experiment::{CellPlan, Channel, PredictorKind};
 use vpsim_obs::{attribute, Attribution, RingRecorder};
+use vpsim_pipeline::RunCtl;
 
 use crate::reports::config;
 
@@ -94,7 +95,13 @@ pub fn run(trials: usize) -> TraceDump {
         for t in 0..trials {
             let mut mapped = RingRecorder::new(TRACE_RING_CAPACITY);
             let mut unmapped = RingRecorder::new(TRACE_RING_CAPACITY);
-            let _ = cell.plan.run_pair_traced(t, &mut mapped, &mut unmapped);
+            let ctl = |ring| RunCtl {
+                cancel: None,
+                tracer: Some(ring),
+            };
+            let _ = cell
+                .plan
+                .run_pair_with(t, ctl(&mut mapped), ctl(&mut unmapped));
             attrib.mapped.merge(&attribute(mapped.events()));
             attrib.unmapped.merge(&attribute(unmapped.events()));
             for (arm, rec) in [("mapped", &mapped), ("unmapped", &unmapped)] {

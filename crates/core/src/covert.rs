@@ -24,7 +24,8 @@ pub struct CovertConfig {
     pub predictor: PredictorKind,
     /// Trial/machine parameters.
     pub experiment: ExperimentConfig,
-    /// Calibration trials per symbol class used to set the threshold.
+    /// Calibration trials per symbol class used to set the threshold
+    /// (0 runs one, like 1).
     pub calibration: usize,
 }
 
@@ -114,10 +115,12 @@ pub(crate) fn trials_for(cfg: &CovertConfig) -> Option<Channel2Trials> {
 #[must_use]
 pub fn transmit(message: &[u8], cfg: &CovertConfig) -> Option<CovertResult> {
     let trials = trials_for(cfg)?;
-    // Calibration: known symbols fix the decision threshold.
-    let mut mapped_obs = Vec::with_capacity(cfg.calibration);
-    let mut unmapped_obs = Vec::with_capacity(cfg.calibration);
-    for i in 0..cfg.calibration {
+    // Calibration: known symbols fix the decision threshold. An empty
+    // set has no mean, so at least one pair runs (as in the receiver).
+    let calibration = cfg.calibration.max(1);
+    let mut mapped_obs = Vec::with_capacity(calibration);
+    let mut unmapped_obs = Vec::with_capacity(calibration);
+    for i in 0..calibration {
         let seed = cfg.experiment.seed ^ (0xca1 + i as u64 * 0x9e37);
         mapped_obs.push(run_trial(&trials.mapped, cfg.predictor, &cfg.experiment, seed).observed);
         unmapped_obs.push(
@@ -130,7 +133,7 @@ pub fn transmit(message: &[u8], cfg: &CovertConfig) -> Option<CovertResult> {
             .observed,
         );
     }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let threshold = (mean(&mapped_obs) + mean(&unmapped_obs)) / 2.0;
 
     // Transmission.
@@ -234,6 +237,22 @@ mod tests {
             "no-VP transmission should be near-random: ber = {}",
             r.ber()
         );
+    }
+
+    #[test]
+    fn zero_calibration_decodes_like_one() {
+        let send = |calibration| {
+            let cfg = CovertConfig {
+                calibration,
+                ..quick(AttackCategory::TrainTest, Channel::TimingWindow)
+            };
+            transmit(&[0b1010_0110, 0x5a], &cfg).expect("supported")
+        };
+        let (zero, one) = (send(0), send(1));
+        assert_eq!(zero.threshold.to_bits(), one.threshold.to_bits());
+        assert_eq!(zero.received, one.received);
+        assert_eq!(zero.bit_errors, one.bit_errors);
+        assert_eq!(zero.total_cycles, one.total_cycles);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 
 use vpsim_chaos::ChaosConfig;
 use vpsim_mem::MemoryConfig;
-use vpsim_obs::TraceSink;
-use vpsim_pipeline::{CancelToken, CoreConfig, Machine, RunError, SchedStats};
+use vpsim_pipeline::{CoreConfig, Machine, RunCtl, RunError, SchedStats};
 use vpsim_predictor::{
     DefenseSpec, Fcm, FcmConfig, IndexConfig, Lvp, LvpConfig, NoPredictor, Oracle, Stride,
     StrideConfig, ValuePredictor, Vtage, VtageConfig,
@@ -132,7 +131,16 @@ impl Default for ExperimentConfig {
 /// shares the same machine seed.
 const CHAOS_SEED_SALT: u64 = 0xc4a0_5eed_0bad_f00d;
 
-/// A trial was abandoned because its [`CancelToken`] was tripped
+/// Defense-seed salts: of [`run_trial`] and a pair's mapped arm, and of
+/// a pair's unmapped arm. The arms share the *machine* seed (so DRAM
+/// jitter cancels), but the R-type defense draw must be independent per
+/// arm — sharing it anti-correlates the two samples and makes Welch's
+/// test anti-conservative on defended configurations.
+const DEFENSE_SEED_SALT: u64 = 0x5ee3;
+const UNMAPPED_DEFENSE_SEED_SALT: u64 = 0x0def_5eed;
+
+/// A trial was abandoned because its
+/// [`CancelToken`](vpsim_pipeline::CancelToken) was tripped
 /// mid-run (hard job deadline, campaign budget). Interruption is a
 /// supervision event, not a result: the trial produced no observation
 /// and may be retried on a fresh machine with identical seeds.
@@ -225,105 +233,24 @@ pub fn run_trial(
     cfg: &ExperimentConfig,
     seed: u64,
 ) -> TrialOutcome {
-    run_trial_with_defense_seed(trial, predictor, cfg, seed, seed ^ 0x5ee3)
-}
-
-/// [`run_trial`] with an explicit seed for the defense randomness.
-///
-/// The evaluation pairs the *machine* seed between the mapped and
-/// unmapped arm (so DRAM jitter cancels), but the R-type defense draw
-/// must be independent per arm — sharing it anti-correlates the two
-/// samples and makes Welch's test anti-conservative on defended
-/// configurations.
-///
-/// # Panics
-///
-/// Panics if a step program fails to run.
-#[must_use]
-pub fn run_trial_with_defense_seed(
-    trial: &Trial,
-    predictor: PredictorKind,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    defense_seed: u64,
-) -> TrialOutcome {
-    match run_trial_supervised(trial, predictor, cfg, seed, defense_seed, None) {
+    let defense_seed = seed ^ DEFENSE_SEED_SALT;
+    match run_trial_with(trial, predictor, cfg, seed, defense_seed, RunCtl::default()) {
         Ok(outcome) => outcome,
         Err(Interrupted) => unreachable!("no cancel token was installed"),
     }
 }
 
-/// [`run_trial_with_defense_seed`] under an optional [`CancelToken`].
-///
-/// The token is polled inside every step run at scheduler loop
-/// boundaries, so even a single hung program run is abandoned with
-/// bounded latency. An untripped token is result-neutral: the outcome
-/// is bit-identical to the unsupervised call.
-///
-/// # Errors
-///
-/// Returns [`Interrupted`] when `cancel` is tripped before the trial
-/// completes.
-///
-/// # Panics
-///
-/// Panics if a step program fails to run for any non-cancellation
-/// reason (cycle-limit or fetch errors indicate a malformed generator,
-/// which is a bug).
-pub fn run_trial_supervised(
+/// The one trial body: a fresh machine from `seed`, the predictor's
+/// defense draw from `defense_seed`, and every step run (background
+/// noise included) under `ctl`. The token is polled inside each run, so
+/// even one hung program is abandoned with bounded latency.
+fn run_trial_with(
     trial: &Trial,
     predictor: PredictorKind,
     cfg: &ExperimentConfig,
     seed: u64,
     defense_seed: u64,
-    cancel: Option<&CancelToken>,
-) -> Result<TrialOutcome, Interrupted> {
-    run_trial_inner(trial, predictor, cfg, seed, defense_seed, cancel, None)
-}
-
-/// [`run_trial_supervised`] with a [`TraceSink`] attached: every
-/// pipeline, memory-hierarchy and predictor event of every step run
-/// (background noise included) is cycle-stamped into `sink`.
-///
-/// Tracing is purely observational — the returned [`TrialOutcome`] is
-/// bit-identical to the untraced call with the same arguments.
-///
-/// # Errors
-///
-/// Returns [`Interrupted`] when `cancel` is tripped before the trial
-/// completes.
-///
-/// # Panics
-///
-/// Panics if a step program fails for any non-cancellation reason.
-pub fn run_trial_traced(
-    trial: &Trial,
-    predictor: PredictorKind,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    defense_seed: u64,
-    cancel: Option<&CancelToken>,
-    sink: &mut dyn TraceSink,
-) -> Result<TrialOutcome, Interrupted> {
-    run_trial_inner(
-        trial,
-        predictor,
-        cfg,
-        seed,
-        defense_seed,
-        cancel,
-        Some(sink),
-    )
-}
-
-fn run_trial_inner(
-    trial: &Trial,
-    predictor: PredictorKind,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    defense_seed: u64,
-    cancel: Option<&CancelToken>,
-    mut tracer: Option<&mut dyn TraceSink>,
+    mut ctl: RunCtl<'_>,
 ) -> Result<TrialOutcome, Interrupted> {
     let mut core = cfg.core;
     core.delay_side_effects = core.delay_side_effects || cfg.defense.d_type;
@@ -332,9 +259,6 @@ fn run_trial_inner(
     if !cfg.chaos.is_off() {
         machine.set_chaos(&cfg.chaos, seed ^ CHAOS_SEED_SALT);
     }
-    if let Some(token) = cancel {
-        machine.set_cancel(token.clone());
-    }
     for (addr, value) in &trial.memory_init {
         machine.mem_mut().store_value(*addr, *value);
     }
@@ -342,31 +266,18 @@ fn run_trial_inner(
     let mut total_cycles = 0u64;
     let mut observed = 0.0f64;
     let mut sched = SchedStats::default();
-    let run = |machine: &mut Machine,
-               pid: u32,
-               program: &vpsim_isa::Program,
-               label: &str,
-               tracer: &mut Option<&mut dyn TraceSink>| {
-        let result = match tracer.as_deref_mut() {
-            Some(sink) => machine.run_traced(pid, program, sink),
-            None => machine.run(pid, program),
-        };
-        match result {
-            Ok(result) => Ok(result),
-            Err(RunError::Cancelled { .. }) => Err(Interrupted),
-            Err(e) => panic!("step `{label}` failed: {e}"),
-        }
+    let mut run = |pid: u32, program: &vpsim_isa::Program, label: &str| {
+        machine
+            .run_with(pid, program, ctl.reborrow())
+            .map_err(|e| match e {
+                RunError::Cancelled { .. } => Interrupted,
+                e => panic!("step `{label}` failed: {e}"),
+            })
     };
     for (i, step) in trial.steps.iter().enumerate() {
         let mut last_window = None;
         for _ in 0..step.repeat {
-            let result = run(
-                &mut machine,
-                step.party.pid(),
-                &step.program,
-                step.label,
-                &mut tracer,
-            )?;
+            let result = run(step.party.pid(), &step.program, step.label)?;
             total_cycles += result.cycles;
             sched.merge(&result.sched);
             last_window = result.timing_windows().first().copied();
@@ -377,7 +288,7 @@ fn run_trial_inner(
         // A third process gets scheduled between the attack's steps.
         if let Some(noise) = &noise {
             if i + 1 < trial.steps.len() {
-                let r = run(&mut machine, 3, noise, "background noise", &mut tracer)?;
+                let r = run(3, noise, "background noise")?;
                 total_cycles += r.cycles;
                 sched.merge(&r.sched);
             }
@@ -571,8 +482,8 @@ impl CellPlan {
     /// machine seed, so jitter affects both identically. Without a value
     /// predictor the two access streams are the same and the
     /// distributions coincide exactly; any separation that remains is
-    /// caused by the predictor. The R-type defense draw must still be
-    /// independent per arm (see [`run_trial_with_defense_seed`]).
+    /// caused by the predictor. The R-type defense draw is still
+    /// independent per arm.
     ///
     /// # Panics
     ///
@@ -580,83 +491,52 @@ impl CellPlan {
     /// bug).
     #[must_use]
     pub fn run_pair(&self, t: usize) -> PairOutcome {
-        match self.run_pair_supervised(t, None) {
+        match self.run_pair_with(t, RunCtl::default(), RunCtl::default()) {
             Ok(pair) => pair,
             Err(Interrupted) => unreachable!("no cancel token was installed"),
         }
     }
 
-    /// [`CellPlan::run_pair`] under an optional [`CancelToken`]: the
-    /// campaign supervisor can abandon a hung pair mid-simulation.
-    /// Seeds are unchanged, so a retried pair reproduces the original
-    /// bit for bit.
+    /// [`CellPlan::run_pair`] with per-arm run controls: the mapped arm
+    /// runs under `mapped`, the unmapped arm under `unmapped`. A cancel
+    /// token lets the campaign supervisor abandon a hung pair
+    /// mid-simulation; a tracer receives its arm's events. Seeds are
+    /// unchanged and neither control perturbs a run, so the outcome is
+    /// bit-identical to [`CellPlan::run_pair`] for the same `t`, and a
+    /// retried pair reproduces the original bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns [`Interrupted`] when `cancel` is tripped before both
-    /// arms complete.
+    /// Returns [`Interrupted`] when a token is tripped before both arms
+    /// complete.
     ///
     /// # Panics
     ///
     /// Panics if a step program fails for any non-cancellation reason.
-    pub fn run_pair_supervised(
+    pub fn run_pair_with(
         &self,
         t: usize,
-        cancel: Option<&CancelToken>,
+        mapped: RunCtl<'_>,
+        unmapped: RunCtl<'_>,
     ) -> Result<PairOutcome, Interrupted> {
         let base = self.trial_seed(t);
-        let mapped = run_trial_supervised(
+        let mapped = run_trial_with(
             &self.mapped_trial,
             self.predictor,
             &self.cfg,
             base,
-            base ^ 0x5ee3,
-            cancel,
+            base ^ DEFENSE_SEED_SALT,
+            mapped,
         )?;
-        let unmapped = run_trial_supervised(
+        let unmapped = run_trial_with(
             &self.unmapped_trial,
             self.predictor,
             &self.cfg,
             base,
-            base ^ 0x0def_5eed,
-            cancel,
+            base ^ UNMAPPED_DEFENSE_SEED_SALT,
+            unmapped,
         )?;
         Ok(PairOutcome { mapped, unmapped })
-    }
-
-    /// [`CellPlan::run_pair`] with per-arm trace sinks: the mapped arm
-    /// streams into `mapped_sink`, the unmapped arm into
-    /// `unmapped_sink`. Seeds are identical to the untraced path, and
-    /// tracing is observational, so the returned [`PairOutcome`] is
-    /// bit-identical to [`CellPlan::run_pair`] for the same `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a step program fails to run (a malformed generator is
-    /// a bug).
-    #[must_use]
-    pub fn run_pair_traced(
-        &self,
-        t: usize,
-        mapped_sink: &mut dyn TraceSink,
-        unmapped_sink: &mut dyn TraceSink,
-    ) -> PairOutcome {
-        let base = self.trial_seed(t);
-        let run = |trial, defense_seed, sink: &mut dyn TraceSink| match run_trial_traced(
-            trial,
-            self.predictor,
-            &self.cfg,
-            base,
-            defense_seed,
-            None,
-            sink,
-        ) {
-            Ok(outcome) => outcome,
-            Err(Interrupted) => unreachable!("no cancel token was installed"),
-        };
-        let mapped = run(&self.mapped_trial, base ^ 0x5ee3, mapped_sink);
-        let unmapped = run(&self.unmapped_trial, base ^ 0x0def_5eed, unmapped_sink);
-        PairOutcome { mapped, unmapped }
     }
 
     /// Reduce the pairs — in trial order — into the cell's
@@ -851,6 +731,18 @@ mod tests {
 
     #[test]
     fn supervised_pair_matches_unsupervised_and_interrupts_cleanly() {
+        use vpsim_obs::{RingRecorder, TraceSink};
+        use vpsim_pipeline::CancelToken;
+
+        fn ctl<'a>(
+            cancel: Option<&'a CancelToken>,
+            ring: Option<&'a mut RingRecorder>,
+        ) -> RunCtl<'a> {
+            RunCtl {
+                cancel,
+                tracer: ring.map(|r| r as &mut dyn TraceSink),
+            }
+        }
         let cfg = quick_cfg();
         let plan = CellPlan::new(
             AttackCategory::TrainTest,
@@ -861,17 +753,42 @@ mod tests {
         .unwrap();
         let plain = plan.run_pair(3);
         let token = CancelToken::new();
-        let supervised = plan.run_pair_supervised(3, Some(&token)).unwrap();
-        assert_eq!(
-            plain, supervised,
-            "an untripped token must be result-neutral"
-        );
+        // A token per arm, a ring per arm, and both. Observations are
+        // whole cycle counts, so `==` on the outcome is bit identity.
+        for (cancel, traced) in [(true, false), (false, true), (true, true)] {
+            let cancel = cancel.then_some(&token);
+            let (mut m_ring, mut u_ring) = (RingRecorder::new(64), RingRecorder::new(64));
+            let pair = plan
+                .run_pair_with(
+                    3,
+                    ctl(cancel, traced.then_some(&mut m_ring)),
+                    ctl(cancel, traced.then_some(&mut u_ring)),
+                )
+                .unwrap();
+            assert_eq!(
+                plain,
+                pair,
+                "untripped token and tracers must be result-neutral (token {}, traced {traced})",
+                cancel.is_some()
+            );
+            if traced {
+                assert!(m_ring.seen() > 0, "the mapped arm's ring saw no events");
+                assert!(u_ring.seen() > 0, "the unmapped arm's ring saw no events");
+            }
+        }
         token.cancel();
-        assert_eq!(
-            plan.run_pair_supervised(3, Some(&token)),
-            Err(Interrupted),
-            "a tripped token must abandon the pair"
-        );
+        for traced in [false, true] {
+            let (mut m_ring, mut u_ring) = (RingRecorder::new(64), RingRecorder::new(64));
+            assert_eq!(
+                plan.run_pair_with(
+                    3,
+                    ctl(Some(&token), traced.then_some(&mut m_ring)),
+                    ctl(Some(&token), traced.then_some(&mut u_ring)),
+                ),
+                Err(Interrupted),
+                "a tripped token must abandon the pair (traced {traced})"
+            );
+        }
     }
 
     #[test]

@@ -80,7 +80,8 @@ pub struct LeakConfig {
     pub core: CoreConfig,
     /// Master seed.
     pub seed: u64,
-    /// Calibration probes per class used to fix the decision threshold.
+    /// Calibration probes per class used to fix the decision threshold
+    /// (0 runs one, like 1).
     pub calibration_runs: usize,
     /// Fault/noise-injection plane applied to every machine
     /// ([`ChaosConfig::off`] by default).
@@ -198,9 +199,10 @@ pub fn leak_exponent(exponent: &Mpi, cfg: &LeakConfig) -> LeakResult {
 
     // Calibration: observe known 0-bits and 1-bits to fix the threshold
     // (the receiver can always run the victim code on its own inputs).
+    // An empty set has no mean, so at least one pair runs.
     let mut fast = Vec::new();
     let mut slow = Vec::new();
-    for i in 0..cfg.calibration_runs {
+    for i in 0..cfg.calibration_runs.max(1) {
         let mut cal = fresh_machine(cfg, cfg.seed ^ (0xca11 + i as u64));
         fast.push(observe_iteration(&mut cal, false, cfg));
         let mut cal = fresh_machine(cfg, cfg.seed ^ (0xca22 + i as u64));
@@ -312,5 +314,22 @@ mod tests {
         let r = leak_exponent(&Mpi::from_u64(0b1011_0101), &cfg);
         assert_eq!(r.success_rate(), 1.0, "observations: {:?}", r.observations);
         assert!(r.rate_kbps() > 0.0);
+    }
+
+    #[test]
+    fn zero_calibration_leaks_like_one() {
+        let leak = |calibration_runs| {
+            let cfg = LeakConfig {
+                calibration_runs,
+                ..LeakConfig::default()
+            };
+            leak_exponent(&Mpi::from_u64(0b1011_0101), &cfg)
+        };
+        let (zero, one) = (leak(0), leak(1));
+        assert_eq!(zero.threshold.to_bits(), one.threshold.to_bits());
+        assert_eq!(zero.recovered_bits, one.recovered_bits);
+        // Observations are whole cycle counts: `==` is bit identity.
+        assert_eq!(zero.observations, one.observations);
+        assert_eq!(zero.total_cycles, one.total_cycles);
     }
 }

@@ -34,7 +34,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use vpsec::experiment::{CellPlan, PairOutcome};
-use vpsim_pipeline::CancelToken;
+use vpsim_pipeline::{CancelToken, RunCtl};
 
 use crate::campaign::CampaignStats;
 use crate::exec::Exec;
@@ -95,9 +95,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Run one attempt of trial `trial` under `token`, containing panics.
 pub(crate) fn run_job(plan: &CellPlan, trial: usize, token: &CancelToken) -> Outcome {
     let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        plan.run_pair_supervised(trial, Some(token))
-    }));
+    let ctl = || RunCtl {
+        cancel: Some(token),
+        tracer: None,
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| plan.run_pair_with(trial, ctl(), ctl())));
     let wall_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     match result {
         Ok(Ok(pair)) => Outcome::Done { pair, wall_nanos },

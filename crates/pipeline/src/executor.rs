@@ -61,6 +61,7 @@ use vpsim_predictor::{LoadContext, ValuePredictor};
 use crate::cancel::CancelToken;
 use crate::config::CoreConfig;
 use crate::dyninst::{DynInst, LoadOrigin, Seq, Status};
+use crate::machine::RunCtl;
 use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
 
 /// Scheduler ticks between cancellation-point checks, minus one. The
@@ -993,97 +994,32 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Run `program` to completion on the given memory system and predictor.
-///
-/// This is the low-level entry point; most callers use
-/// [`Machine`](crate::Machine), which owns the persistent state.
-///
-/// # Errors
-///
-/// Returns [`RunError::CycleLimitExceeded`] if the program does not halt
-/// within `config.max_cycles`, and [`RunError::FetchPastEnd`] if control
-/// flow leaves the program (the [`ProgramBuilder`] guarantees a `halt`
-/// exists, but not that it is reached).
-///
-/// [`ProgramBuilder`]: vpsim_isa::ProgramBuilder
-pub fn run_program(
-    config: CoreConfig,
-    program: &Program,
-    pid: u32,
-    mem: &mut MemoryHierarchy,
-    vp: &mut dyn ValuePredictor,
-) -> Result<RunResult, RunError> {
-    Executor::new(config, program, pid, mem, vp, None, None, None).run()
-}
-
-/// [`run_program`] with a pipeline-side fault injector attached. The
-/// injector's stream advances across calls, so successive programs on
-/// one machine see one continuous noise process.
-///
-/// # Errors
-///
-/// Same as [`run_program`].
-pub fn run_program_chaos(
+/// Run `program` to completion on `mem` and `vp` under `ctl`; the
+/// pipeline-side fault injector's stream advances across calls. With a
+/// tracer, component-side tracing is on for this call only: it is
+/// switched off again (dropping partial buffers) on every return path.
+/// [`Machine::run_with`](crate::Machine::run_with) documents the errors.
+pub(crate) fn run_program(
     config: CoreConfig,
     program: &Program,
     pid: u32,
     mem: &mut MemoryHierarchy,
     vp: &mut dyn ValuePredictor,
     chaos: Option<&mut PipeChaos>,
+    ctl: RunCtl<'_>,
 ) -> Result<RunResult, RunError> {
-    Executor::new(config, program, pid, mem, vp, chaos, None, None).run()
-}
-
-/// [`run_program_chaos`] under a [`CancelToken`]: the executor polls the
-/// token at scheduler loop boundaries (amortised, never mid-phase) and
-/// returns [`RunError::Cancelled`] promptly after a trip. An untripped
-/// token changes nothing — the poll is a pure read — so supervised runs
-/// are bit-identical to unsupervised ones.
-///
-/// # Errors
-///
-/// Same as [`run_program`], plus [`RunError::Cancelled`] when `cancel`
-/// is tripped before the program halts.
-pub fn run_program_supervised(
-    config: CoreConfig,
-    program: &Program,
-    pid: u32,
-    mem: &mut MemoryHierarchy,
-    vp: &mut dyn ValuePredictor,
-    chaos: Option<&mut PipeChaos>,
-    cancel: Option<&CancelToken>,
-) -> Result<RunResult, RunError> {
-    Executor::new(config, program, pid, mem, vp, chaos, cancel, None).run()
-}
-
-/// [`run_program_supervised`] with a [`TraceSink`] attached: pipeline,
-/// memory-hierarchy and predictor events are cycle-stamped into `sink`
-/// as the run executes. Component-side tracing is enabled for the
-/// duration of the call and always disabled again (dropping any
-/// partial buffers) before returning, including on error paths.
-///
-/// Tracing is purely observational — the returned [`RunResult`] is
-/// bit-identical to an untraced run of the same `(program, config,
-/// seed)`.
-///
-/// # Errors
-///
-/// Same as [`run_program_supervised`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_program_traced(
-    config: CoreConfig,
-    program: &Program,
-    pid: u32,
-    mem: &mut MemoryHierarchy,
-    vp: &mut dyn ValuePredictor,
-    chaos: Option<&mut PipeChaos>,
-    cancel: Option<&CancelToken>,
-    sink: &mut dyn TraceSink,
-) -> Result<RunResult, RunError> {
-    mem.set_tracing(true);
-    vp.set_tracing(true);
-    let result = Executor::new(config, program, pid, mem, vp, chaos, cancel, Some(sink)).run();
-    mem.set_tracing(false);
-    vp.set_tracing(false);
+    let RunCtl { cancel, tracer } = ctl;
+    // Shorten the sink's trait-object lifetime to this call's borrows.
+    let tracer = tracer.map(|sink| sink as &mut dyn TraceSink);
+    let traced = tracer.is_some();
+    if traced {
+        mem.set_tracing(true);
+        vp.set_tracing(true);
+    }
+    let result = Executor::new(config, program, pid, mem, vp, chaos, cancel, tracer).run();
+    if traced {
+        mem.set_tracing(false);
+        vp.set_tracing(false);
+    }
     result
 }

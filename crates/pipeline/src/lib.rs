@@ -57,6 +57,5 @@ mod result;
 
 pub use cancel::CancelToken;
 pub use config::{ConfigError, CoreConfig};
-pub use executor::{run_program, run_program_chaos, run_program_supervised, run_program_traced};
-pub use machine::Machine;
+pub use machine::{Machine, RunCtl};
 pub use result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};

@@ -9,12 +9,45 @@
 use vpsim_chaos::{ChaosConfig, ChaosEvents, MemChaos, PipeChaos};
 use vpsim_isa::Program;
 use vpsim_mem::{MemoryConfig, MemoryHierarchy};
+use vpsim_obs::TraceSink;
 use vpsim_predictor::{ChaoticPredictor, NoPredictor, ValuePredictor};
 
 use crate::cancel::CancelToken;
 use crate::config::CoreConfig;
-use crate::executor::{run_program_supervised, run_program_traced};
+use crate::executor::run_program;
 use crate::result::{RunError, RunResult};
+
+/// Per-run controls of [`Machine::run_with`]: neither changes what a
+/// run computes. [`RunCtl::default`] is a plain run, which is what
+/// [`Machine::run`] does.
+#[derive(Default)]
+pub struct RunCtl<'a> {
+    /// Cooperative kill flag, polled at scheduler loop boundaries: once
+    /// it is tripped the run returns [`RunError::Cancelled`] promptly.
+    /// An untripped token never perturbs a run — the poll is a pure
+    /// read, so supervised results stay bit-identical to unsupervised
+    /// ones.
+    pub cancel: Option<&'a CancelToken>,
+    /// Event-trace sink: every pipeline, memory-hierarchy and predictor
+    /// event is cycle-stamped into it. Tracing is purely observational
+    /// — the result is bit-identical to an untraced run of the same
+    /// program on the same machine state.
+    pub tracer: Option<&'a mut dyn TraceSink>,
+}
+
+impl RunCtl<'_> {
+    /// A shorter-lived copy of these controls (same token, same sink),
+    /// to hand one control value to each of several runs in turn.
+    pub fn reborrow(&mut self) -> RunCtl<'_> {
+        RunCtl {
+            cancel: self.cancel,
+            tracer: self
+                .tracer
+                .as_deref_mut()
+                .map(|sink| sink as &mut dyn TraceSink),
+        }
+    }
+}
 
 /// A simulated core plus its persistent memory system and VPS.
 #[derive(Debug)]
@@ -26,9 +59,6 @@ pub struct Machine {
     /// Whether a [`ChaoticPredictor`] wrapper has been installed (guards
     /// against double wrapping on repeated `set_chaos` calls).
     pred_chaos_installed: bool,
-    /// Cooperative kill flag threaded into every run (see
-    /// [`Machine::set_cancel`]).
-    cancel: Option<CancelToken>,
 }
 
 impl Machine {
@@ -51,17 +81,7 @@ impl Machine {
             predictor,
             chaos: None,
             pred_chaos_installed: false,
-            cancel: None,
         }
-    }
-
-    /// Install a cooperative [`CancelToken`]: every subsequent
-    /// [`Machine::run`] polls it at scheduler loop boundaries and
-    /// returns [`RunError::Cancelled`] promptly once it is tripped. An
-    /// untripped token never perturbs a run — supervised results stay
-    /// bit-identical to unsupervised ones.
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
     }
 
     /// Install the fault/noise-injection plane on this machine: memory,
@@ -105,44 +125,33 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates [`RunError`] when the program exceeds the cycle
-    /// budget, control flow escapes the instruction stream, or an
-    /// installed [`CancelToken`] is tripped mid-run.
+    /// Propagates [`RunError`] when the program exceeds the cycle budget
+    /// or control flow escapes the instruction stream.
     pub fn run(&mut self, pid: u32, program: &Program) -> Result<RunResult, RunError> {
-        run_program_supervised(
-            self.core,
-            program,
-            pid,
-            &mut self.mem,
-            self.predictor.as_mut(),
-            self.chaos.as_mut(),
-            self.cancel.as_ref(),
-        )
+        self.run_with(pid, program, RunCtl::default())
     }
 
-    /// [`Machine::run`] with a trace sink attached: every pipeline,
-    /// memory-hierarchy and predictor event is cycle-stamped into
-    /// `sink`. The returned result is bit-identical to an untraced
-    /// [`Machine::run`] of the same program on the same machine state.
+    /// [`Machine::run`] under the per-run controls `ctl`: a cancel token
+    /// and a trace sink, each optional.
     ///
     /// # Errors
     ///
-    /// Same as [`Machine::run`].
-    pub fn run_traced(
+    /// Same as [`Machine::run`], plus [`RunError::Cancelled`] when the
+    /// token is tripped before the program halts.
+    pub fn run_with(
         &mut self,
         pid: u32,
         program: &Program,
-        sink: &mut dyn vpsim_obs::TraceSink,
+        ctl: RunCtl<'_>,
     ) -> Result<RunResult, RunError> {
-        run_program_traced(
+        run_program(
             self.core,
             program,
             pid,
             &mut self.mem,
             self.predictor.as_mut(),
             self.chaos.as_mut(),
-            self.cancel.as_ref(),
-            sink,
+            ctl,
         )
     }
 
@@ -264,10 +273,14 @@ mod tests {
         let program = spin_program(500);
         let mut plain = machine(Box::new(Lvp::new(LvpConfig::default())));
         let mut supervised = machine(Box::new(Lvp::new(LvpConfig::default())));
-        supervised.set_cancel(CancelToken::new());
+        let token = CancelToken::new();
         for _ in 0..3 {
             let a = plain.run(1, &program).unwrap();
-            let b = supervised.run(1, &program).unwrap();
+            let ctl = RunCtl {
+                cancel: Some(&token),
+                tracer: None,
+            };
+            let b = supervised.run_with(1, &program, ctl).unwrap();
             assert_eq!(a, b, "an untripped token must not perturb the run");
         }
     }
@@ -288,13 +301,17 @@ mod tests {
             7,
         );
         let token = CancelToken::new();
-        m.set_cancel(token.clone());
+        let remote = token.clone();
         let killer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
-            token.cancel();
+            remote.cancel();
         });
         let started = Instant::now();
-        let err = m.run(0, &program).unwrap_err();
+        let ctl = RunCtl {
+            cancel: Some(&token),
+            tracer: None,
+        };
+        let err = m.run_with(0, &program, ctl).unwrap_err();
         killer.join().expect("killer thread");
         assert!(
             matches!(err, RunError::Cancelled { .. }),
@@ -311,10 +328,13 @@ mod tests {
         let mut m = machine(Box::new(NoPredictor::new()));
         let token = CancelToken::new();
         token.cancel();
-        m.set_cancel(token);
         let mut b = ProgramBuilder::new();
         b.li(Reg::R1, 1).halt();
-        let err = m.run(0, &b.build().unwrap()).unwrap_err();
+        let ctl = RunCtl {
+            cancel: Some(&token),
+            tracer: None,
+        };
+        let err = m.run_with(0, &b.build().unwrap(), ctl).unwrap_err();
         assert_eq!(err, RunError::Cancelled { at_cycle: 0 });
     }
 
@@ -342,7 +362,11 @@ mod tests {
         for _ in 0..3 {
             let mut sink = vpsim_obs::RingRecorder::new(1 << 14);
             let a = plain.run(1, &program).unwrap();
-            let b = traced.run_traced(1, &program, &mut sink).unwrap();
+            let ctl = RunCtl {
+                cancel: None,
+                tracer: Some(&mut sink),
+            };
+            let b = traced.run_with(1, &program, ctl).unwrap();
             assert_eq!(a, b, "tracing must never perturb a run");
             assert_eq!(sink.dropped(), 0, "ring sized for the whole trace");
             // Cycle stamps are monotone within a run (events stream in

@@ -159,12 +159,12 @@ impl DaemonMetrics {
             ),
             health_panics: r.gauge("vpsim_health_panics", "jobs that panicked", &[]),
             worker_crashes: r.counter(
-                "vpsim_worker_crashes",
+                "vpsim_worker_crashes_total",
                 "worker processes that died and were contained",
                 &[],
             ),
             worker_respawns: r.counter(
-                "vpsim_worker_respawns",
+                "vpsim_worker_respawns_total",
                 "worker processes respawned after a death",
                 &[],
             ),

@@ -249,8 +249,9 @@ fn shutdown_right_after_submit_joins_promptly_and_restart_resumes() {
 }
 
 /// Minimal Prometheus-exposition checker: every sample line must belong
-/// to a family announced by exactly one `# TYPE` line, families must
-/// appear in stable (sorted) order, and no series may repeat.
+/// to a family announced by exactly one `# TYPE` line, counter families
+/// must end in `_total`, families must appear in stable (sorted) order,
+/// and no series may repeat.
 fn check_exposition(body: &str) -> Vec<String> {
     let mut families: Vec<(String, String)> = Vec::new();
     let mut series_seen = std::collections::HashSet::new();
@@ -266,6 +267,10 @@ fn check_exposition(body: &str) -> Vec<String> {
             assert!(
                 !families.iter().any(|(n, _)| *n == name),
                 "duplicate # TYPE for {name}"
+            );
+            assert!(
+                kind != "counter" || name.ends_with("_total"),
+                "counter {name} must end in _total"
             );
             families.push((name, kind));
         } else if line.starts_with('#') {
@@ -701,7 +706,7 @@ fn process_isolated_campaigns_stream_identical_payloads() {
     // run, but the series exist for scraping).
     let r = client::request(&addr, "GET", "/metrics", None).unwrap();
     assert_eq!(r.status, 200);
-    for needle in ["vpsim_worker_crashes", "vpsim_worker_respawns"] {
+    for needle in ["vpsim_worker_crashes_total", "vpsim_worker_respawns_total"] {
         assert!(r.body.contains(needle), "metrics lack {needle}");
     }
 

@@ -4,10 +4,10 @@
 use vpsec::attacks::{build_trial, AttackCategory, AttackSetup, Party};
 use vpsec::experiment::{run_trial, Channel, ExperimentConfig, PredictorKind};
 use vpsec::isa::{AluOp, ProgramBuilder, Reg};
-use vpsec::mem::{MemoryConfig, MemoryHierarchy};
+use vpsec::mem::MemoryConfig;
 use vpsec::model::enumerate;
 use vpsec::pipeline::{CoreConfig, Machine};
-use vpsec::predictor::{Lvp, LvpConfig, NoPredictor, ValuePredictor};
+use vpsec::predictor::{Lvp, LvpConfig, NoPredictor};
 use vpsec::stats::welch_t_test;
 
 /// A realistic multi-phase program: build a table in memory, reduce it,
@@ -162,17 +162,24 @@ fn trials_assign_parties_correctly() {
     );
 }
 
-/// Memory hierarchy and predictor compose under the raw run_program API.
+/// Memory hierarchy and predictor compose under the single run entry
+/// point, `Machine::run`.
 #[test]
 fn raw_run_program_entry_point() {
-    let mut mem = MemoryHierarchy::new(MemoryConfig::deterministic(), 0);
-    mem.store_value(0x4000, 77);
-    let mut vp = NoPredictor::new();
+    let mut m = Machine::new(
+        CoreConfig::default(),
+        MemoryConfig::deterministic(),
+        Box::new(NoPredictor::new()),
+        0,
+    );
+    m.mem_mut().store_value(0x4000, 77);
     let mut b = ProgramBuilder::new();
     b.li(Reg::R1, 0x4000).load(Reg::R2, Reg::R1, 0).halt();
-    let p = b.build().unwrap();
-    let r = vpsec::pipeline::run_program(CoreConfig::default(), &p, 0, &mut mem, &mut vp)
-        .expect("runs");
+    let r = m.run(0, &b.build().unwrap()).expect("runs");
     assert_eq!(r.regs.read(Reg::R2), 77);
-    assert_eq!(vp.stats().lookups, 1, "cold load consults the predictor");
+    assert_eq!(
+        m.predictor().stats().lookups,
+        1,
+        "cold load consults the predictor"
+    );
 }
