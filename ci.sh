@@ -47,6 +47,13 @@ cargo run --release -p vpsim-bench --bin bench_chaos -- \
 # adversarial lines are rejected.
 cargo test --release -q -p vpsim-bench --test fuzz_validation
 
+# Examples: clippy above only compiles them. Build each one in
+# examples/ and run it with its default arguments; it must exit 0.
+cargo build --release --examples -p vpsec -p vpsim-crypto
+for example in examples/*.rs; do
+    "./target/release/examples/$(basename "$example" .rs)" > /dev/null
+done
+
 # Repeat loop: the torture binary (kill/resume at >=20 seeded
 # interruption points, hostile sink-I/O fault plans, hung cells
 # cancelled within their deadlines, SIGKILLed/poisoned/wedged fleet

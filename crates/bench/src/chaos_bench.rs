@@ -24,7 +24,7 @@ use vpsec::attacks::AttackCategory;
 use vpsec::chaos::ChaosConfig;
 use vpsec::covert::CovertConfig;
 use vpsec::experiment::{Channel, ExperimentConfig, PredictorKind};
-use vpsec::receiver::{transmit, ReceiverConfig, ReceiverKind};
+use vpsec::receiver::{transmit, ReceiverConfig, ReceiverKind, Threshold};
 use vpsim_crypto::{leak_exponent, LeakConfig, Mpi};
 
 /// One measured cell of the robustness sweep.
@@ -266,8 +266,10 @@ pub fn run_sweep_levels(quick: bool, levels: &[u8]) -> ChaosReport {
                 bits,
                 bit_errors: wrong,
                 data_trials: bits,
-                probe_trials: 2 * cfg.calibration_runs
-                    + 2 * bits.checked_div(recalibrate_every).unwrap_or(0),
+                probe_trials: 2 * cfg.calibration_runs.max(1)
+                    + 2 * (0..bits)
+                        .filter(|&bit| Threshold::recalibrates_before(bit, recalibrate_every))
+                        .count(),
                 sim_cycles: r.total_cycles,
             });
         }

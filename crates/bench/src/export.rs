@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use vpsec::attacks::AttackCategory;
 use vpsec::experiment::{Channel, Evaluation, ExperimentConfig, PredictorKind};
-use vpsim_crypto::{leak_exponent, LeakConfig, Mpi};
+use vpsim_crypto::{leak_exponent, LeakConfig};
 use vpsim_harness::{Campaign, CampaignOutcome, CellSpec, Exec};
 use vpsim_predictor::DefenseSpec;
 
@@ -174,15 +174,8 @@ pub fn window_sweep_csv(cfg: &ExperimentConfig, exec: &Exec) -> String {
 /// Figure 7 data: `iteration,e_bit,cycles`.
 #[must_use]
 pub fn figure_7_csv(bits: usize, seed: u64) -> String {
-    let mut exponent = Mpi::one();
-    for i in 0..bits.saturating_sub(1) {
-        exponent = exponent.shl_bits(1);
-        if (i * 7 + 3) % 5 < 2 {
-            exponent = exponent.add(&Mpi::one());
-        }
-    }
     let r = leak_exponent(
-        &exponent,
+        &reports::figure_7_exponent(bits),
         &LeakConfig {
             seed,
             ..LeakConfig::default()

@@ -444,9 +444,11 @@ pub fn parse_cells(json: &str) -> Vec<(String, f64, u64)> {
         .collect()
 }
 
-/// Compare a fresh run against a committed baseline file: error if any
-/// cell's simulated cycle count changed (the scheduler must be
-/// cycle-exact) or its throughput regressed by more than `max_slowdown`.
+/// Compare a fresh run against a committed baseline file: error if the
+/// two cover different cells, if any cell's simulated cycle count or
+/// scheduler counters changed (the scheduler must be cycle-exact and
+/// its counters are deterministic), or if its throughput regressed by
+/// more than `max_slowdown`.
 ///
 /// # Errors
 ///
@@ -456,39 +458,49 @@ pub fn check_against(
     baseline_json: &str,
     max_slowdown: f64,
 ) -> Result<(), String> {
-    let base_report = report_from_json(baseline_json);
-    if base_report.cells.is_empty() {
+    let base = report_from_json(baseline_json);
+    if base.cells.is_empty() {
         return Err("baseline file contains no cells".to_owned());
     }
     // Cell keys are mode-independent but cycle counts are not: a quick
     // run checked against a full baseline would report phantom drift.
-    if base_report.mode != report.mode {
+    if base.mode != report.mode {
         return Err(format!(
             "baseline mode `{}` does not match run mode `{}`",
-            base_report.mode, report.mode
+            base.mode, report.mode
         ));
     }
-    let baseline: Vec<(String, f64, u64)> = base_report
-        .cells
-        .iter()
-        .map(|c| (c.key(), c.sim_cycles_per_sec(), c.cycles))
-        .collect();
     let mut problems = Vec::new();
+    if base.cells.len() != report.cells.len() {
+        problems.push(format!(
+            "cell count changed: baseline {} vs run {}",
+            base.cells.len(),
+            report.cells.len()
+        ));
+    }
     for c in &report.cells {
-        let Some((_, base_cps, base_cycles)) = baseline.iter().find(|(k, _, _)| *k == c.key())
-        else {
+        let Some(b) = base.cells.iter().find(|b| b.key() == c.key()) else {
+            problems.push(format!("{}: missing from baseline", c.key()));
             continue;
         };
-        if c.cycles != *base_cycles {
+        if c.cycles != b.cycles {
             problems.push(format!(
                 "{}: simulated cycles changed {} -> {} (scheduler must be cycle-exact)",
                 c.key(),
-                base_cycles,
+                b.cycles,
                 c.cycles
             ));
         }
-        let cps = c.sim_cycles_per_sec();
-        if cps * max_slowdown < *base_cps {
+        if c.sched != b.sched {
+            problems.push(format!(
+                "{}: sched counters changed {:?} -> {:?} (they are deterministic)",
+                c.key(),
+                b.sched,
+                c.sched
+            ));
+        }
+        let (cps, base_cps) = (c.sim_cycles_per_sec(), b.sim_cycles_per_sec());
+        if cps * max_slowdown < base_cps {
             problems.push(format!(
                 "{}: throughput regressed >{}x: {:.0} -> {:.0} sim-cycles/sec",
                 c.key(),
@@ -597,5 +609,16 @@ mod tests {
         drifted.cells[0].cycles += 1;
         let err = check_against(&drifted, &json, 2.0).unwrap_err();
         assert!(err.contains("cycle-exact"), "{err}");
+        let mut drifted = r.clone();
+        drifted.cells[1].sched.ticks += 1;
+        let err = check_against(&drifted, &json, 2.0).unwrap_err();
+        assert!(err.contains("sched counters changed"), "{err}");
+        // A cell dropped from either side fails the check.
+        let mut dropped = r.clone();
+        dropped.cells.pop();
+        let err = check_against(&dropped, &json, 2.0).unwrap_err();
+        assert!(err.contains("cell count changed"), "{err}");
+        let err = check_against(&r, &to_json(&dropped, None), 2.0).unwrap_err();
+        assert!(err.contains("missing from baseline"), "{err}");
     }
 }

@@ -19,8 +19,10 @@
 use std::fmt::Write as _;
 
 use vpsec::attacks::{build_trial, AttackCategory, AttackSetup};
+use vpsec::covert::CovertConfig;
 use vpsec::experiment::{run_trial, Channel, Evaluation, ExperimentConfig, PredictorKind};
 use vpsec::model::enumerate;
+use vpsec::receiver::{transmit, ReceiverConfig};
 use vpsec::{defense, taxonomy};
 use vpsim_crypto::{leak_exponent, LeakConfig, Mpi};
 use vpsim_harness::{Campaign, CampaignOutcome, CellSpec, Exec};
@@ -503,6 +505,19 @@ pub fn figure_8(trials: usize, exec: &Exec) -> String {
     )
 }
 
+/// The Figure 7 secret exponent: a fixed `bits`-bit "key" with an MSB
+/// of 1 and an alternating-ish bit pattern below it.
+pub(crate) fn figure_7_exponent(bits: usize) -> Mpi {
+    let mut exponent = Mpi::one();
+    for i in 0..bits.saturating_sub(1) {
+        exponent = exponent.shl_bits(1);
+        if (i * 7 + 3) % 5 < 2 {
+            exponent = exponent.add(&Mpi::one());
+        }
+    }
+    exponent
+}
+
 /// Figure 7: the receiver's per-iteration observations while the victim
 /// runs the Figure 6 modular exponentiation, plus the recovery rate over
 /// repeated runs (the paper reports 95.7% over 60 runs at 9.65 Kbps).
@@ -512,14 +527,7 @@ pub fn figure_7(bits: usize, runs: usize) -> String {
         "Figure 7: RSA exponent-bit leak through the value predictor\n\
          ({bits}-bit secret exponent, {runs} runs)\n\n"
     );
-    // A fixed "key": alternating-ish bit pattern with an MSB of 1.
-    let mut exponent = Mpi::one();
-    for i in 0..bits.saturating_sub(1) {
-        exponent = exponent.shl_bits(1);
-        if (i * 7 + 3) % 5 < 2 {
-            exponent = exponent.add(&Mpi::one());
-        }
-    }
+    let exponent = figure_7_exponent(bits);
     let mut total_correct = 0usize;
     let mut total_bits = 0usize;
     let mut first_series = None;
@@ -901,21 +909,21 @@ pub fn ablation_report(trials: usize, exec: &Exec) -> String {
         let Some(e) = eval_or_quarantine(&outcome, &format!("jitter|{jitter}"), &mut out) else {
             continue;
         };
-        let covert_cfg = vpsec::covert::CovertConfig {
+        let covert_cfg = CovertConfig {
             experiment: ExperimentConfig {
                 mem,
                 ..ExperimentConfig::default()
             },
             calibration: 6,
-            ..vpsec::covert::CovertConfig::default()
+            ..CovertConfig::default()
         };
-        let msg = vpsec::covert::transmit(b"DAC21", &covert_cfg).expect("supported");
+        let msg = transmit(b"DAC21", &ReceiverConfig::fixed(covert_cfg)).expect("supported");
         let _ = writeln!(
             out,
             "    jitter ±{jitter:>3}: pvalue = {:.4} [{}], covert BER = {:.1}%",
             e.ttest.p_value,
             verdict(e.ttest.p_value),
-            msg.ber() * 100.0
+            msg.bit_errors as f64 / msg.bits() as f64 * 100.0
         );
     }
 

@@ -1,5 +1,6 @@
 //! Attack receivers: decoding strategies layered on the covert-channel
-//! physical layer of [`crate::covert`].
+//! physical layer of [`crate::covert`], all deciding against one
+//! [`Threshold`] (the RSA exponent leak of `vpsim-crypto` shares it).
 //!
 //! The baseline receiver ([`ReceiverKind::Fixed`]) is the one the paper
 //! implicitly assumes: calibrate a decision threshold once on a clean
@@ -28,8 +29,11 @@
 //! seed derives from the bit index and repetition counter alone, so a
 //! transmission is bit-reproducible under the harness's resume logic.
 
+use vpsim_stats::TransmissionRate;
+
+use crate::attacks::Trial;
 use crate::covert::{trials_for, CovertConfig};
-use crate::experiment::{run_trial, Channel, TrialOutcome};
+use crate::experiment::run_trial;
 
 /// The decoding strategy a receiver uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,6 +138,16 @@ impl ReceiveResult {
         }
         1.0 - self.bit_errors as f64 / self.bits() as f64
     }
+
+    /// Achieved bandwidth in Kbps at the nominal clock, over
+    /// `total_cycles` (probes count toward the rate).
+    #[must_use]
+    pub fn kbps(&self) -> f64 {
+        if self.bits() == 0 || self.total_cycles == 0 {
+            return 0.0;
+        }
+        TransmissionRate::from_total(self.total_cycles, self.bits() as u64).kbps()
+    }
 }
 
 /// Per-trial seeds: a pure function of the receiver's coordinates, so a
@@ -147,20 +161,50 @@ fn probe_seed(base: u64, round: usize, i: usize) -> u64 {
     base ^ (0xca1 + (round * 64 + i) as u64 * 0x9e37)
 }
 
-struct Calibration {
-    threshold: f64,
-    separation: f64,
+/// A receiver's decision threshold. Like the Flush+Reload receiver of
+/// Spectre, one timing threshold separates the two symbols: it sits
+/// halfway between their mean calibration timings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Threshold {
+    /// Decision threshold in cycles: observations above it read slow.
+    pub value: f64,
+    /// Distance between the two symbols' mean timings, in cycles.
+    pub separation: f64,
 }
 
-/// Decode `slow` into the transmitted bit for this category/channel.
-fn decode(slow: bool, channel: Channel, mapped_is_slow: bool) -> bool {
-    if channel == Channel::Persistent {
-        // Persistent: mapped = hit = fast.
-        !slow
-    } else if mapped_is_slow {
-        slow
-    } else {
-        !slow
+impl Threshold {
+    /// Average `pairs` known `(mapped, unmapped)` probe pairs, where
+    /// `probe(i)` times pair `i`. An empty set has no mean, so at least
+    /// one pair runs.
+    #[must_use]
+    pub fn calibrate(pairs: usize, mut probe: impl FnMut(usize) -> (f64, f64)) -> Threshold {
+        let pairs = pairs.max(1);
+        let (mut mapped, mut unmapped) = (0.0, 0.0);
+        for i in 0..pairs {
+            let (m, u) = probe(i);
+            mapped += m;
+            unmapped += u;
+        }
+        let (mapped, unmapped) = (mapped / pairs as f64, unmapped / pairs as f64);
+        Threshold {
+            value: (mapped + unmapped) / 2.0,
+            separation: (mapped - unmapped).abs(),
+        }
+    }
+
+    /// Move halfway toward an in-band `probe`, so one noisy probe pair
+    /// cannot wreck the threshold.
+    pub fn blend(&mut self, probe: Threshold) {
+        self.value = 0.5 * self.value + 0.5 * probe.value;
+        self.separation = 0.5 * self.separation + 0.5 * probe.separation;
+    }
+
+    /// Whether a self-calibrating receiver runs an in-band probe pair
+    /// before data bit `bit`: every `every` bits, never before the first
+    /// (`every == 0` never recalibrates).
+    #[must_use]
+    pub fn recalibrates_before(bit: usize, every: usize) -> bool {
+        every > 0 && bit > 0 && bit.is_multiple_of(every)
     }
 }
 
@@ -173,69 +217,42 @@ pub fn transmit(message: &[u8], cfg: &ReceiverConfig) -> Option<ReceiveResult> {
     let covert = &cfg.covert;
     let base = covert.experiment.seed;
     let mut probe_trials = 0usize;
-    let mut total_cycles = 0u64;
+    let mut probe_cycles = 0u64;
 
-    // Initial calibration (both receivers): known probe pairs fix the
-    // threshold and measure the symbol separation.
-    let mut run_probe_round = |round: usize, total_cycles: &mut u64| -> Calibration {
-        let pairs = if round == 0 {
-            covert.calibration.max(1)
-        } else {
-            1
-        };
-        let mut mapped_sum = 0.0;
-        let mut unmapped_sum = 0.0;
-        for i in 0..pairs {
+    let run = |trial: &Trial, seed| run_trial(trial, covert.predictor, &covert.experiment, seed);
+    let mut probe_round = |round: usize, pairs: usize| {
+        Threshold::calibrate(pairs, |i| {
             let seed = probe_seed(base, round, i);
-            let m = run_trial(&trials.mapped, covert.predictor, &covert.experiment, seed);
-            let u = run_trial(
-                &trials.unmapped,
-                covert.predictor,
-                &covert.experiment,
-                seed ^ 0xff,
-            );
-            *total_cycles += m.total_cycles + u.total_cycles;
-            mapped_sum += m.observed;
-            unmapped_sum += u.observed;
+            let m = run(&trials.mapped, seed);
+            let u = run(&trials.unmapped, seed ^ 0xff);
+            probe_cycles += m.total_cycles + u.total_cycles;
             probe_trials += 2;
-        }
-        let mapped_mean = mapped_sum / pairs as f64;
-        let unmapped_mean = unmapped_sum / pairs as f64;
-        Calibration {
-            threshold: (mapped_mean + unmapped_mean) / 2.0,
-            separation: (mapped_mean - unmapped_mean).abs(),
-        }
+            (m.observed, u.observed)
+        })
     };
 
-    let initial = run_probe_round(0, &mut total_cycles);
-    let mut threshold = initial.threshold;
-    let mut separation = initial.separation;
+    // Both receivers calibrate once on known symbols.
+    let mut threshold = probe_round(0, covert.calibration);
 
     let mut received = vec![0u8; message.len()];
     let mut bit_errors = 0usize;
     let mut data_trials = 0usize;
     let mut recalibrations = 0usize;
     let mut retries = 0usize;
+    let mut total_cycles = 0u64;
 
     let selfcal = cfg.kind == ReceiverKind::SelfCalibrating;
     let repetitions = if selfcal { cfg.repetitions.max(1) } else { 1 };
+    let every = if selfcal { cfg.recalibrate_every } else { 0 };
 
     for (byte_idx, &byte) in message.iter().enumerate() {
         for bit_idx in 0..8 {
             let global_bit = byte_idx * 8 + bit_idx;
 
-            // In-band recalibration: a single known probe pair every
-            // `recalibrate_every` data bits, blended into the running
-            // threshold so one noisy probe cannot wreck it.
-            if selfcal
-                && cfg.recalibrate_every > 0
-                && global_bit > 0
-                && global_bit % cfg.recalibrate_every == 0
-            {
-                let round = global_bit / cfg.recalibrate_every;
-                let probe = run_probe_round(round, &mut total_cycles);
-                threshold = 0.5 * threshold + 0.5 * probe.threshold;
-                separation = 0.5 * separation + 0.5 * probe.separation;
+            // In-band recalibration: a single known probe pair, blended
+            // into the running threshold.
+            if Threshold::recalibrates_before(global_bit, every) {
+                threshold.blend(probe_round(global_bit / every, 1));
                 recalibrations += 1;
             }
 
@@ -254,30 +271,21 @@ pub fn transmit(message: &[u8], cfg: &ReceiverConfig) -> Option<ReceiveResult> {
                 if ones + zeros >= repetitions && ones != zeros {
                     break;
                 }
-                let seed = bit_seed(base, global_bit, rep);
-                let outcome: TrialOutcome =
-                    run_trial(trial, covert.predictor, &covert.experiment, seed);
+                let outcome = run(trial, bit_seed(base, global_bit, rep));
                 total_cycles += outcome.total_cycles;
                 data_trials += 1;
                 if rep >= repetitions {
                     retries += 1;
                 }
-                let slow = outcome.observed > threshold;
-                let decoded = decode(slow, covert.channel, trials.mapped_is_slow);
+                let decoded = (outcome.observed > threshold.value) == trials.mapped_is_slow;
                 last_decoded = decoded;
                 // Inconclusive trials (too close to the threshold) are
-                // not counted as votes while retry budget remains.
+                // not counted as votes while retry budget remains; the
+                // final look votes regardless.
                 let conclusive = !selfcal
-                    || (outcome.observed - threshold).abs() >= cfg.margin * separation / 2.0;
-                if conclusive {
-                    if decoded {
-                        ones += 1;
-                    } else {
-                        zeros += 1;
-                    }
-                } else if rep + 1 == budget {
-                    // Out of budget: the final inconclusive look still
-                    // has to vote.
+                    || (outcome.observed - threshold.value).abs()
+                        >= cfg.margin * threshold.separation / 2.0;
+                if conclusive || rep + 1 == budget {
                     if decoded {
                         ones += 1;
                     } else {
@@ -303,12 +311,12 @@ pub fn transmit(message: &[u8], cfg: &ReceiverConfig) -> Option<ReceiveResult> {
         sent: message.to_vec(),
         received,
         bit_errors,
-        threshold,
+        threshold: threshold.value,
         data_trials,
         probe_trials,
         recalibrations,
         retries,
-        total_cycles,
+        total_cycles: total_cycles + probe_cycles,
     })
 }
 
@@ -316,6 +324,7 @@ pub fn transmit(message: &[u8], cfg: &ReceiverConfig) -> Option<ReceiveResult> {
 mod tests {
     use super::*;
     use crate::attacks::AttackCategory;
+    use crate::experiment::{Channel, PredictorKind};
     use vpsim_chaos::ChaosConfig;
 
     fn covert(category: AttackCategory, channel: Channel) -> CovertConfig {
@@ -327,10 +336,31 @@ mod tests {
         }
     }
 
+    fn fixed(message: &[u8], cfg: CovertConfig) -> ReceiveResult {
+        transmit(message, &ReceiverConfig::fixed(cfg)).expect("supported")
+    }
+
+    #[test]
+    fn threshold_calibrates_blends_and_schedules() {
+        let mut t = Threshold::calibrate(2, |i| ([300.0, 320.0][i], [200.0, 220.0][i]));
+        assert_eq!((t.value, t.separation), (260.0, 100.0));
+        // A probe at 280 with separation 60 moves the threshold halfway.
+        t.blend(Threshold::calibrate(1, |_| (310.0, 250.0)));
+        assert_eq!((t.value, t.separation), (270.0, 80.0));
+        let probe = |_| (330.0, 270.0);
+        let one = Threshold::calibrate(1, probe);
+        assert_eq!(Threshold::calibrate(0, probe), one);
+        let schedule: Vec<usize> = (0..20)
+            .filter(|&bit| Threshold::recalibrates_before(bit, 8))
+            .collect();
+        assert_eq!(schedule, [8, 16]);
+        assert!(!(0..20).any(|bit| Threshold::recalibrates_before(bit, 0)));
+    }
+
     #[test]
     fn both_receivers_are_exact_on_a_clean_channel() {
         let cfg = covert(AttackCategory::FillUp, Channel::TimingWindow);
-        let fixed = transmit(b"VP", &ReceiverConfig::fixed(cfg.clone())).expect("supported");
+        let fixed = fixed(b"VP", cfg.clone());
         assert_eq!(fixed.received, b"VP", "fixed errors: {}", fixed.bit_errors);
         let selfcal = transmit(b"VP", &ReceiverConfig::self_calibrating(cfg)).expect("supported");
         assert_eq!(
@@ -342,15 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn fixed_receiver_matches_covert_transmit_decisions() {
-        // The fixed receiver is the covert-channel baseline: one trial
-        // per bit against a one-time threshold. Its calibration schedule
-        // matches `covert::transmit`, so thresholds agree exactly.
-        let cfg = covert(AttackCategory::TrainTest, Channel::TimingWindow);
-        let legacy = crate::covert::transmit(&[0b1010_0110], &cfg).unwrap();
-        let fixed = transmit(&[0b1010_0110], &ReceiverConfig::fixed(cfg)).expect("supported");
-        assert_eq!(fixed.threshold.to_bits(), legacy.threshold.to_bits());
-        assert_eq!(fixed.received, legacy.received);
+    fn train_test_transmits_with_inverted_polarity() {
+        // Train+Test's mapped case is the *slow* one (misprediction).
+        let r = fixed(
+            &[0b1010_0110],
+            covert(AttackCategory::TrainTest, Channel::TimingWindow),
+        );
+        assert_eq!(r.received, vec![0b1010_0110], "errors: {}", r.bit_errors);
     }
 
     #[test]
@@ -364,6 +392,49 @@ mod tests {
     fn unsupported_cell_is_none() {
         let cfg = covert(AttackCategory::SpillOver, Channel::Persistent);
         assert!(transmit(b"x", &ReceiverConfig::fixed(cfg)).is_none());
+    }
+
+    #[test]
+    fn no_vp_scrambles_the_message() {
+        let cfg = CovertConfig {
+            predictor: PredictorKind::None,
+            ..covert(AttackCategory::FillUp, Channel::TimingWindow)
+        };
+        let r = fixed(&[0xff, 0x00, 0xaa], cfg);
+        // Without a predictor the two symbols are indistinguishable:
+        // around half the bits decode wrong.
+        assert!(
+            r.accuracy() < 0.8,
+            "no-VP transmission should be near-random: accuracy = {}",
+            r.accuracy()
+        );
+    }
+
+    #[test]
+    fn zero_calibration_decodes_like_one() {
+        let send = |calibration| {
+            let cfg = CovertConfig {
+                calibration,
+                ..covert(AttackCategory::TrainTest, Channel::TimingWindow)
+            };
+            fixed(&[0b1010_0110, 0x5a], cfg)
+        };
+        let (zero, one) = (send(0), send(1));
+        assert_eq!(zero.threshold.to_bits(), one.threshold.to_bits());
+        assert_eq!(zero.received, one.received);
+        assert_eq!(zero.bit_errors, one.bit_errors);
+        assert_eq!(zero.probe_trials, 2);
+        assert_eq!(zero.total_cycles, one.total_cycles);
+    }
+
+    #[test]
+    fn empty_message_is_fine() {
+        let r = fixed(b"", covert(AttackCategory::FillUp, Channel::TimingWindow));
+        assert_eq!(r.bits(), 0);
+        assert_eq!(r.bit_errors, 0);
+        assert_eq!(r.accuracy(), 1.0);
+        assert!(r.total_cycles > 0, "calibration still ran");
+        assert_eq!(r.kbps(), 0.0);
     }
 
     #[test]
@@ -383,7 +454,7 @@ mod tests {
         let mut cfg = covert(AttackCategory::FillUp, Channel::TimingWindow);
         cfg.experiment.chaos = ChaosConfig::level(3);
         let msg = [0xa5, 0x3c, 0x96, 0x0f];
-        let fixed = transmit(&msg, &ReceiverConfig::fixed(cfg.clone())).unwrap();
+        let fixed = fixed(&msg, cfg.clone());
         let selfcal = transmit(&msg, &ReceiverConfig::self_calibrating(cfg)).unwrap();
         assert!(
             selfcal.accuracy() >= fixed.accuracy(),

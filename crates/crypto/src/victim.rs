@@ -11,6 +11,7 @@
 //! its trained entry, recovering the exponent bit by bit (Figure 7).
 
 use vpsec::attacks::{train_program, trigger_timing, AttackSetup};
+use vpsec::receiver::Threshold;
 use vpsim_chaos::ChaosConfig;
 use vpsim_isa::{Program, ProgramBuilder, Reg};
 use vpsim_mem::MemoryConfig;
@@ -186,6 +187,15 @@ fn observe_iteration(machine: &mut Machine, bit: bool, cfg: &LeakConfig) -> f64 
     r.timing_windows()[0] as f64
 }
 
+/// One known `(mapped, unmapped)` probe pair, each on a fresh machine:
+/// the 0-bit iteration (unmapped, fast) runs first, then the 1-bit one
+/// (its `tp` load maps to the receiver's entry and reads slow).
+fn probe_pair(cfg: &LeakConfig, mapped_seed: u64, unmapped_seed: u64) -> (f64, f64) {
+    let unmapped = observe_iteration(&mut fresh_machine(cfg, unmapped_seed), false, cfg);
+    let mapped = observe_iteration(&mut fresh_machine(cfg, mapped_seed), true, cfg);
+    (mapped, unmapped)
+}
+
 /// Recover the bits of `exponent` through the value-predictor side
 /// channel, reproducing the Figure 7 experiment: for every exponent bit
 /// the receiver observes one timing; bits where the victim executed the
@@ -199,39 +209,29 @@ pub fn leak_exponent(exponent: &Mpi, cfg: &LeakConfig) -> LeakResult {
 
     // Calibration: observe known 0-bits and 1-bits to fix the threshold
     // (the receiver can always run the victim code on its own inputs).
-    // An empty set has no mean, so at least one pair runs.
-    let mut fast = Vec::new();
-    let mut slow = Vec::new();
-    for i in 0..cfg.calibration_runs.max(1) {
-        let mut cal = fresh_machine(cfg, cfg.seed ^ (0xca11 + i as u64));
-        fast.push(observe_iteration(&mut cal, false, cfg));
-        let mut cal = fresh_machine(cfg, cfg.seed ^ (0xca22 + i as u64));
-        slow.push(observe_iteration(&mut cal, true, cfg));
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    let mut threshold = (mean(&fast) + mean(&slow)) / 2.0;
+    let mut threshold = Threshold::calibrate(cfg.calibration_runs, |i| {
+        let i = i as u64;
+        probe_pair(cfg, cfg.seed ^ (0xca22 + i), cfg.seed ^ (0xca11 + i))
+    });
 
     let mut observations = Vec::with_capacity(true_bits.len());
     let mut recovered_bits = Vec::with_capacity(true_bits.len());
     for (bit_idx, &bit) in true_bits.iter().enumerate() {
         // Self-calibration: every `recalibrate_every` bits the receiver
-        // re-runs one known probe pair and blends the observed midpoint
-        // into its threshold, tracking noise-induced drift.
-        if cfg.recalibrate_every > 0 && bit_idx > 0 && bit_idx % cfg.recalibrate_every == 0 {
-            let round = (bit_idx / cfg.recalibrate_every) as u64;
-            let mut cal = fresh_machine(cfg, cfg.seed ^ (0xca33 + round * 0x9e37));
-            let f = observe_iteration(&mut cal, false, cfg);
-            let mut cal = fresh_machine(cfg, cfg.seed ^ (0xca44 + round * 0x9e37));
-            let s = observe_iteration(&mut cal, true, cfg);
-            threshold = 0.5 * threshold + 0.5 * (f + s) / 2.0;
-            total_cycles += (f + s) as u64;
+        // re-runs one known probe pair and blends it into its threshold,
+        // tracking noise-induced drift.
+        if Threshold::recalibrates_before(bit_idx, cfg.recalibrate_every) {
+            let salt = (bit_idx / cfg.recalibrate_every) as u64 * 0x9e37;
+            let (m, u) = probe_pair(cfg, cfg.seed ^ (0xca44 + salt), cfg.seed ^ (0xca33 + salt));
+            threshold.blend(Threshold::calibrate(1, |_| (m, u)));
+            total_cycles += (m + u) as u64;
         }
         let obs = observe_iteration(&mut machine, bit, cfg);
         // Account the cycles of the full step sequence approximately via
         // the machine's committed work: use the observation plus the
         // training/victim overhead measured below.
         observations.push(obs);
-        recovered_bits.push(obs > threshold);
+        recovered_bits.push(obs > threshold.value);
         total_cycles += obs as u64;
     }
     // total_cycles above only counts the observation windows; add the
@@ -254,7 +254,7 @@ pub fn leak_exponent(exponent: &Mpi, cfg: &LeakConfig) -> LeakResult {
         true_bits,
         recovered_bits,
         observations,
-        threshold,
+        threshold: threshold.value,
         total_cycles,
     }
 }
@@ -331,5 +331,20 @@ mod tests {
         // Observations are whole cycle counts: `==` is bit identity.
         assert_eq!(zero.observations, one.observations);
         assert_eq!(zero.total_cycles, one.total_cycles);
+    }
+
+    #[test]
+    fn recalibrating_leak_is_pinned_under_noise() {
+        // In-band recalibration under chaos, pinned bit for bit: the
+        // threshold after three blends, the bits and the cycle count.
+        let cfg = LeakConfig {
+            chaos: ChaosConfig::level(2),
+            recalibrate_every: 2,
+            ..LeakConfig::default()
+        };
+        let r = leak_exponent(&Mpi::from_u64(0b1011_0101), &cfg);
+        assert_eq!(r.threshold.to_bits(), 362.835_937_5_f64.to_bits());
+        assert_eq!(r.recovered_bits, r.true_bits);
+        assert_eq!(r.total_cycles, 14_619);
     }
 }

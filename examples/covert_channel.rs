@@ -1,17 +1,20 @@
 //! Covert messaging through the value predictor: send a real byte
 //! string one bit per attack trial, through two different attack
 //! categories and both channels, and watch it fail without a predictor.
+//! Each line uses the paper's fixed-threshold receiver; its Kbps counts
+//! the calibration trials too.
 //!
 //! ```sh
 //! cargo run --release -p vpsec --example covert_channel [message]
 //! ```
 
 use vpsec::attacks::AttackCategory;
-use vpsec::covert::{transmit, CovertConfig};
+use vpsec::covert::CovertConfig;
 use vpsec::experiment::{Channel, PredictorKind};
+use vpsec::receiver::{transmit, ReceiverConfig};
 
 fn show(label: &str, cfg: &CovertConfig, message: &[u8]) {
-    match transmit(message, cfg) {
+    match transmit(message, &ReceiverConfig::fixed(cfg.clone())) {
         None => println!("{label:<40} unsupported channel"),
         Some(r) => {
             let text: String = r
@@ -27,7 +30,7 @@ fn show(label: &str, cfg: &CovertConfig, message: &[u8]) {
                 .collect();
             println!(
                 "{label:<40} \"{text}\"  BER {:>5.1}%  {:>8.1} Kbps",
-                r.ber() * 100.0,
+                100.0 * (1.0 - r.accuracy()),
                 r.kbps()
             );
         }
