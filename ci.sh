@@ -13,10 +13,10 @@ cargo build --workspace --release
 cargo test --workspace --quiet
 
 # Perf smoke: rerun the quick executor-benchmark matrix and compare
-# against the committed baseline. Fails on any simulated-cycle drift
-# (the event-driven scheduler must stay cycle-exact; the golden-trace
-# suite above checks the same property per-instruction) or on a >2x
-# wall-clock regression.
+# against the committed baseline. Fails on any drift in simulated
+# cycles or scheduler counters (the event-driven scheduler must stay
+# cycle-exact; the golden-trace suite above checks the same property
+# per-instruction) or on a >2x wall-clock regression.
 cargo run --release -p vpsim-bench --bin bench_pipeline -- \
     --quick --check BENCH_pipeline.quick.json
 
@@ -38,9 +38,13 @@ rm -rf "$TRACE_TMP"
 
 # Robustness smoke: the quick chaos sweep (12 attack variants + RSA x
 # noise levels 0-4 x both receivers) is fully seeded, so every cell
-# must match the committed baseline bit for bit.
+# must match the committed baseline bit for bit. The full sweep is the
+# artifact EXPERIMENTS.md quotes; it is just as deterministic and takes
+# a few seconds, so it is checked too.
 cargo run --release -p vpsim-bench --bin bench_chaos -- \
     --quick --check BENCH_chaos.quick.json
+cargo run --release -p vpsim-bench --bin bench_chaos -- \
+    --check BENCH_chaos.json
 
 # Fuzz: malformed configs/programs must return typed errors, not panic,
 # and manifest record lines must round-trip bit-exactly while torn or

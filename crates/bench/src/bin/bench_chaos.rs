@@ -3,36 +3,25 @@
 //!
 //! ```text
 //! bench_chaos                        # full sweep -> BENCH_chaos.json
-//! bench_chaos --quick                # CI-sized sweep
+//! bench_chaos --quick                # CI-sized -> BENCH_chaos.quick.json
 //! bench_chaos --out FILE             # write elsewhere
-//! bench_chaos --check FILE           # compare against FILE: the sweep is
-//!                                    #   fully deterministic, so any cell
-//!                                    #   drift fails the check
-//! bench_chaos --deadline 600         # budget the whole sweep
-//! bench_chaos --strict               # escalate warnings to failures
+//! bench_chaos --check FILE           # compare against FILE, write
+//!                                    #   nothing: the sweep is fully
+//!                                    #   deterministic, so any cell drift
+//!                                    #   fails the check
 //! ```
-//!
-//! `--check` is read-only and never rewrites the committed baseline.
-//!
-//! This bin drives the covert channel directly (no campaign engine), so
-//! `--deadline` is a *whole-sweep* wall budget checked after the run —
-//! an overrun warns, or fails under `--strict`. `--strict` also rejects
-//! degenerate cells (zero bits transmitted). For cooperative per-job
-//! cancellation use `repro --deadline`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
 
-use vpsim_bench::chaos_bench::{check_against, render, run_sweep, to_json};
+use vpsim_bench::artifact::finish;
+use vpsim_bench::chaos_bench::{render, run_sweep};
 
 #[derive(Debug, Default)]
 struct Args {
     quick: bool,
     out: Option<PathBuf>,
     check: Option<PathBuf>,
-    deadline: Option<Duration>,
-    strict: bool,
 }
 
 fn parse_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
@@ -46,17 +35,6 @@ fn parse_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
             "--quick" => args.quick = true,
             "--out" => args.out = Some(PathBuf::from(value("--out", &mut it)?)),
             "--check" => args.check = Some(PathBuf::from(value("--check", &mut it)?)),
-            "--deadline" => {
-                let v = value("--deadline", &mut it)?;
-                let secs: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--deadline expects whole seconds, got `{v}`"))?;
-                if secs == 0 {
-                    return Err("--deadline must be positive".to_owned());
-                }
-                args.deadline = Some(Duration::from_secs(secs));
-            }
-            "--strict" => args.strict = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -68,83 +46,13 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: bench_chaos [--quick] [--out FILE] [--check FILE] \
-                 [--deadline SECS] [--strict]"
-            );
+            eprintln!("usage: bench_chaos [--quick] [--out FILE] [--check FILE]");
             return ExitCode::FAILURE;
         }
     };
-    let started = Instant::now();
     let report = run_sweep(args.quick);
     print!("{}", render(&report));
-
-    if let Some(budget) = args.deadline {
-        let elapsed = started.elapsed();
-        if elapsed > budget {
-            eprintln!(
-                "deadline: sweep took {elapsed:?}, over the {budget:?} budget{}",
-                if args.strict { "" } else { " (warning)" }
-            );
-            if args.strict {
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if args.strict {
-        let degenerate: Vec<&str> = report
-            .cells
-            .iter()
-            .filter(|c| c.bits == 0)
-            .map(|c| c.variant.as_str())
-            .collect();
-        if !degenerate.is_empty() {
-            eprintln!(
-                "strict: {} cell(s) transmitted zero bits: {}",
-                degenerate.len(),
-                degenerate.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if let Some(path) = &args.check {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match check_against(&report, &baseline) {
-            Ok(()) => {
-                println!(
-                    "check: {} cells bit-identical to {}",
-                    report.cells.len(),
-                    path.display()
-                );
-                return ExitCode::SUCCESS;
-            }
-            Err(problems) => {
-                eprintln!("chaos check FAILED against {}:\n{problems}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let out = args.out.unwrap_or_else(|| {
-        PathBuf::from(if args.quick {
-            "BENCH_chaos.quick.json"
-        } else {
-            "BENCH_chaos.json"
-        })
-    });
-    if let Err(e) = std::fs::write(&out, to_json(&report)) {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    ExitCode::SUCCESS
+    finish(&report, args.check, None, args.out)
 }
 
 #[cfg(test)]
@@ -166,17 +74,11 @@ mod tests {
 
     #[test]
     fn rejects_unknown_and_missing() {
-        assert!(parse(&["--bogus"]).is_err());
+        for flag in ["--bogus", "--deadline", "--strict"] {
+            let err = parse(&[flag, "600"]).unwrap_err();
+            assert_eq!(err, format!("unknown argument `{flag}`"));
+        }
         assert!(parse(&["--out"]).is_err());
         assert!(parse(&["--check"]).is_err());
-    }
-
-    #[test]
-    fn parses_supervision_flags() {
-        let a = parse(&["--strict", "--deadline", "600"]).unwrap();
-        assert!(a.strict);
-        assert_eq!(a.deadline, Some(Duration::from_secs(600)));
-        assert!(parse(&["--deadline", "0"]).is_err());
-        assert!(parse(&["--deadline", "x"]).is_err());
     }
 }

@@ -3,37 +3,23 @@
 //!
 //! ```text
 //! bench_pipeline                         # full matrix -> BENCH_pipeline.json
-//! bench_pipeline --quick                 # CI-sized matrix
+//! bench_pipeline --quick                 # CI-sized -> BENCH_pipeline.quick.json
 //! bench_pipeline --out FILE              # write elsewhere
 //! bench_pipeline --baseline FILE         # embed FILE as "before" + speedups
-//! bench_pipeline --check FILE            # compare against FILE: fail on
-//!                                        #   cycle drift or a >2x slowdown
-//! bench_pipeline --check FILE --max-slowdown 3
-//! bench_pipeline --deadline 300          # budget the whole matrix
-//! bench_pipeline --strict                # escalate warnings to failures
+//! bench_pipeline --check FILE            # compare against FILE, write
+//!                                        #   nothing: fail on any cycle or
+//!                                        #   sched drift (the scheduler is
+//!                                        #   cycle-exact) or a >2x slowdown
 //! bench_pipeline --traced                # run with event tracing on; the
 //!                                        #   --check gate then bounds the
 //!                                        #   tracing overhead
 //! ```
-//!
-//! Simulated cycle counts are bit-deterministic; `--check` therefore
-//! treats *any* cycle drift as an error (the scheduler must stay
-//! cycle-exact) and only tolerates wall-clock noise up to the slowdown
-//! factor.
-//!
-//! Unlike `repro`, this bin drives the executor directly rather than
-//! through the campaign engine, so `--deadline` is a *whole-matrix*
-//! wall budget checked after the sweep (an overrun warns, or fails the
-//! run under `--strict`) — it cannot cancel a workload mid-simulation.
-//! For cooperative per-job cancellation use `repro --deadline`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
 
-use vpsim_bench::pipeline_bench::{
-    check_against, parse_cells, render, run_matrix, run_matrix_traced, to_json,
-};
+use vpsim_bench::artifact::finish;
+use vpsim_bench::pipeline_bench::{render, run_matrix, run_matrix_traced};
 
 #[derive(Debug, Default)]
 struct Args {
@@ -42,16 +28,10 @@ struct Args {
     out: Option<PathBuf>,
     baseline: Option<PathBuf>,
     check: Option<PathBuf>,
-    max_slowdown: f64,
-    deadline: Option<Duration>,
-    strict: bool,
 }
 
 fn parse_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
-    let mut args = Args {
-        max_slowdown: 2.0,
-        ..Args::default()
-    };
+    let mut args = Args::default();
     let mut it = argv.into_iter();
     let value = |flag: &str, it: &mut dyn Iterator<Item = String>| -> Result<String, String> {
         it.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -63,26 +43,6 @@ fn parse_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
             "--out" => args.out = Some(PathBuf::from(value("--out", &mut it)?)),
             "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline", &mut it)?)),
             "--check" => args.check = Some(PathBuf::from(value("--check", &mut it)?)),
-            "--max-slowdown" => {
-                let v = value("--max-slowdown", &mut it)?;
-                args.max_slowdown = v
-                    .parse()
-                    .map_err(|_| format!("--max-slowdown expects a number, got `{v}`"))?;
-                if args.max_slowdown < 1.0 {
-                    return Err("--max-slowdown must be >= 1".to_owned());
-                }
-            }
-            "--deadline" => {
-                let v = value("--deadline", &mut it)?;
-                let secs: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--deadline expects whole seconds, got `{v}`"))?;
-                if secs == 0 {
-                    return Err("--deadline must be positive".to_owned());
-                }
-                args.deadline = Some(Duration::from_secs(secs));
-            }
-            "--strict" => args.strict = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -96,125 +56,27 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: bench_pipeline [--quick] [--traced] [--out FILE] [--baseline FILE] \
-                 [--check FILE] [--max-slowdown X] [--deadline SECS] [--strict]"
+                 [--check FILE]"
             );
             return ExitCode::FAILURE;
         }
     };
-    let started = Instant::now();
     let report = if args.traced {
         run_matrix_traced(args.quick)
     } else {
         run_matrix(args.quick)
     };
     print!("{}", render(&report));
-
-    if let Some(budget) = args.deadline {
-        let elapsed = started.elapsed();
-        if elapsed > budget {
-            eprintln!(
-                "deadline: matrix took {elapsed:?}, over the {budget:?} budget{}",
-                if args.strict { "" } else { " (warning)" }
-            );
-            if args.strict {
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if args.strict {
-        let degenerate: Vec<&str> = report
-            .cells
-            .iter()
-            .filter(|c| c.cycles == 0 || c.wall_ns == 0)
-            .map(|c| c.workload.as_str())
-            .collect();
-        if !degenerate.is_empty() {
-            eprintln!(
-                "strict: {} cell(s) produced degenerate measurements: {}",
-                degenerate.len(),
-                degenerate.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if let Some(path) = &args.check {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match check_against(&report, &baseline, args.max_slowdown) {
-            Ok(()) => {
-                println!(
-                    "check: {} cells within {}x of {}",
-                    report.cells.len(),
-                    args.max_slowdown,
-                    path.display()
-                );
-            }
-            Err(problems) => {
-                eprintln!("perf check FAILED against {}:\n{problems}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        // --check is read-only: never overwrite the committed baseline.
-        return ExitCode::SUCCESS;
-    }
-
-    let before = match &args.baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(s) => {
-                // Re-hydrate only what the report embeds: cells.
-                let cells = parse_cells(&s);
-                if cells.is_empty() {
-                    eprintln!("error: baseline {} contains no cells", path.display());
-                    return ExitCode::FAILURE;
-                }
-                Some(s)
-            }
-            Err(e) => {
-                eprintln!("error: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let json = match &before {
-        Some(b) => {
-            let before_report = vpsim_bench::pipeline_bench::report_from_json(b);
-            to_json(&report, Some(&before_report))
-        }
-        None => to_json(&report, None),
-    };
-    let out = args
-        .out
-        .unwrap_or_else(|| PathBuf::from("BENCH_pipeline.json"));
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    ExitCode::SUCCESS
+    finish(&report, args.check, args.baseline, args.out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpsim_bench::pipeline_bench::BenchReport;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         parse_from(args.iter().map(|s| (*s).to_owned()))
-    }
-
-    #[test]
-    fn parses_supervision_flags() {
-        let a = parse(&["--quick", "--deadline", "300", "--strict"]).unwrap();
-        assert!(a.quick);
-        assert!(a.strict);
-        assert_eq!(a.deadline, Some(Duration::from_secs(300)));
-        assert!(!parse(&["--quick"]).unwrap().strict);
     }
 
     #[test]
@@ -224,9 +86,18 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_deadlines() {
-        assert!(parse(&["--deadline", "0"]).is_err());
-        assert!(parse(&["--deadline", "soon"]).is_err());
-        assert!(parse(&["--deadline"]).is_err());
+    fn quick_without_out_writes_the_quick_artifact() {
+        let a = parse(&["--quick"]).unwrap();
+        assert_eq!(a.out, None);
+        let path = BenchReport::new(a.quick, Vec::new()).default_path();
+        assert_eq!(path, PathBuf::from("BENCH_pipeline.quick.json"));
+    }
+
+    #[test]
+    fn rejects_removed_flags() {
+        for flag in ["--max-slowdown", "--deadline", "--strict"] {
+            let err = parse(&[flag, "3"]).unwrap_err();
+            assert_eq!(err, format!("unknown argument `{flag}`"));
+        }
     }
 }

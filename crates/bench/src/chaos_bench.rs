@@ -26,6 +26,9 @@ use vpsec::covert::CovertConfig;
 use vpsec::experiment::{Channel, ExperimentConfig, PredictorKind};
 use vpsec::receiver::{transmit, ReceiverConfig, ReceiverKind, Threshold};
 use vpsim_crypto::{leak_exponent, LeakConfig, Mpi};
+use vpsim_json::Json;
+
+use crate::artifact::{array, Cell, Report};
 
 /// One measured cell of the robustness sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,26 +60,88 @@ impl ChaosCell {
         }
         1.0 - self.bit_errors as f64 / self.bits as f64
     }
+}
 
-    /// The `variant@level/receiver` key used for baseline matching.
-    #[must_use]
-    pub fn key(&self) -> String {
+impl Cell for ChaosCell {
+    const NAME: &'static str = "chaos";
+
+    fn key(&self) -> String {
         format!("{}@{}/{}", self.variant, self.level, self.receiver)
+    }
+
+    fn write(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"variant\": \"{}\", \"level\": {}, \"receiver\": \"{}\", \
+             \"bits\": {}, \"bit_errors\": {}, \"accuracy\": {:.4}, \
+             \"data_trials\": {}, \"probe_trials\": {}, \"sim_cycles\": {}}}",
+            self.variant,
+            self.level,
+            self.receiver,
+            self.bits,
+            self.bit_errors,
+            self.accuracy(),
+            self.data_trials,
+            self.probe_trials,
+            self.sim_cycles,
+        );
+    }
+
+    fn read(j: &Json) -> Option<Self> {
+        let text = |k| Some(j.get(k)?.as_str()?.to_owned());
+        let n = |k| j.get(k)?.as_u64();
+        let count = |k| usize::try_from(n(k)?).ok();
+        Some(ChaosCell {
+            variant: text("variant")?,
+            level: u8::try_from(n("level")?).ok()?,
+            receiver: text("receiver")?,
+            bits: count("bits")?,
+            bit_errors: count("bit_errors")?,
+            data_trials: count("data_trials")?,
+            probe_trials: count("probe_trials")?,
+            sim_cycles: n("sim_cycles")?,
+        })
+    }
+
+    fn exact(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("bits", self.bits as u64),
+            ("bit_errors", self.bit_errors as u64),
+            ("data_trials", self.data_trials as u64),
+            ("probe_trials", self.probe_trials as u64),
+            ("sim_cycles", self.sim_cycles),
+        ]
+    }
+
+    fn degenerate(&self) -> bool {
+        self.bits == 0
+    }
+
+    fn summary(report: &ChaosReport, out: &mut String) {
+        array(out, "summary", &report.levels(), |level, out| {
+            let _ = write!(
+                out,
+                "{{\"level\": {level}, \"mean_accuracy_fixed\": {:.4}, \
+                 \"mean_accuracy_selfcal\": {:.4}}}",
+                report.mean_accuracy(*level, "fixed"),
+                report.mean_accuracy(*level, "selfcal"),
+            );
+        });
+        out.push_str(",\n");
     }
 }
 
 /// A full robustness sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosReport {
-    /// `quick` or `full`.
-    pub mode: String,
-    /// Chaos levels swept.
-    pub levels: Vec<u8>,
-    /// The measured cells.
-    pub cells: Vec<ChaosCell>,
-}
+pub type ChaosReport = Report<ChaosCell>;
 
 impl ChaosReport {
+    fn levels(&self) -> Vec<u8> {
+        let mut levels: Vec<u8> = self.cells.iter().map(|c| c.level).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        levels
+    }
+
     /// Mean accuracy over the attack variants (RSA excluded) for one
     /// level and receiver — the headline degradation series.
     #[must_use]
@@ -218,12 +283,11 @@ pub fn run_sweep(quick: bool) -> ChaosReport {
 /// runs a single one).
 #[must_use]
 pub fn run_sweep_levels(quick: bool, levels: &[u8]) -> ChaosReport {
-    let levels = levels.to_vec();
     let msg = message(if quick { 2 } else { 8 });
     let mut cells = Vec::new();
     for (vi, (name, category, channel, predictor)) in variants().into_iter().enumerate() {
         let variant_seed = 0xDAC_2021 ^ (vi as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        for &level in &levels {
+        for &level in levels {
             for kind in [ReceiverKind::Fixed, ReceiverKind::SelfCalibrating] {
                 let cfg = receiver_config(kind, variant_seed, category, channel, predictor, level);
                 let r = transmit(&msg, &cfg).expect("all 12 variants are supported");
@@ -243,7 +307,7 @@ pub fn run_sweep_levels(quick: bool, levels: &[u8]) -> ChaosReport {
     // The end-to-end RSA exponent leak rides along: fixed = the paper's
     // Figure 7 one-time threshold; selfcal = in-band recalibration.
     let exponent = Mpi::from_u64(if quick { 0xA53C } else { 0xA53C_960F_5AC3_69F0 });
-    for &level in &levels {
+    for &level in levels {
         for (receiver, recalibrate_every) in [("fixed", 0usize), ("selfcal", 8)] {
             let cfg = LeakConfig {
                 chaos: ChaosConfig::level(level),
@@ -274,168 +338,7 @@ pub fn run_sweep_levels(quick: bool, levels: &[u8]) -> ChaosReport {
             });
         }
     }
-    ChaosReport {
-        mode: if quick { "quick" } else { "full" }.to_owned(),
-        levels,
-        cells,
-    }
-}
-
-// ---------------------------------------------------------------------
-// JSON (hand-rolled: the workspace is dependency-free by design).
-// ---------------------------------------------------------------------
-
-fn json_cell(c: &ChaosCell, out: &mut String) {
-    let _ = write!(
-        out,
-        "    {{\"variant\": \"{}\", \"level\": {}, \"receiver\": \"{}\", \
-         \"bits\": {}, \"bit_errors\": {}, \"accuracy\": {:.4}, \
-         \"data_trials\": {}, \"probe_trials\": {}, \"sim_cycles\": {}}}",
-        c.variant,
-        c.level,
-        c.receiver,
-        c.bits,
-        c.bit_errors,
-        c.accuracy(),
-        c.data_trials,
-        c.probe_trials,
-        c.sim_cycles,
-    );
-}
-
-/// Render the report as the `BENCH_chaos.json` document.
-#[must_use]
-pub fn to_json(report: &ChaosReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"vpsim-bench-chaos/v1\",");
-    let _ = writeln!(out, "  \"mode\": \"{}\",", report.mode);
-    out.push_str("  \"summary\": [\n");
-    for (i, &level) in report.levels.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"level\": {level}, \"mean_accuracy_fixed\": {:.4}, \
-             \"mean_accuracy_selfcal\": {:.4}}}",
-            report.mean_accuracy(level, "fixed"),
-            report.mean_accuracy(level, "selfcal"),
-        );
-        out.push_str(if i + 1 < report.levels.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"cells\": [\n");
-    for (i, c) in report.cells.iter().enumerate() {
-        json_cell(c, &mut out);
-        out.push_str(if i + 1 < report.cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-use vpsim_json::field_str as field;
-
-/// Re-hydrate a `BENCH_chaos.json` document produced by [`to_json`].
-#[must_use]
-pub fn report_from_json(json: &str) -> ChaosReport {
-    let mut cells = Vec::new();
-    let mut levels = Vec::new();
-    let mut mode = "unknown".to_owned();
-    for line in json.lines() {
-        if let Some(m) = field(line, "mode") {
-            if !line.contains("\"variant\"") {
-                mode = m.to_owned();
-            }
-        }
-        if let Some(l) = field(line, "level") {
-            if line.contains("mean_accuracy_fixed") {
-                if let Ok(l) = l.parse() {
-                    levels.push(l);
-                }
-            }
-        }
-        let Some(variant) = field(line, "variant") else {
-            continue;
-        };
-        let parsed = (|| -> Option<ChaosCell> {
-            Some(ChaosCell {
-                variant: variant.to_owned(),
-                level: field(line, "level")?.parse().ok()?,
-                receiver: field(line, "receiver")?.to_owned(),
-                bits: field(line, "bits")?.parse().ok()?,
-                bit_errors: field(line, "bit_errors")?.parse().ok()?,
-                data_trials: field(line, "data_trials")?.parse().ok()?,
-                probe_trials: field(line, "probe_trials")?.parse().ok()?,
-                sim_cycles: field(line, "sim_cycles")?.parse().ok()?,
-            })
-        })();
-        if let Some(cell) = parsed {
-            cells.push(cell);
-        }
-    }
-    ChaosReport {
-        mode,
-        levels,
-        cells,
-    }
-}
-
-/// Compare a fresh sweep against a committed baseline: the sweep is
-/// fully simulated and seeded, so every cell must match **exactly** —
-/// any drift means the noise plane, a receiver, or the simulator's
-/// determinism changed, and the baseline must be regenerated
-/// deliberately.
-///
-/// # Errors
-///
-/// Returns a description of every mismatched cell.
-pub fn check_against(report: &ChaosReport, baseline_json: &str) -> Result<(), String> {
-    let base = report_from_json(baseline_json);
-    if base.cells.is_empty() {
-        return Err("baseline file contains no cells".to_owned());
-    }
-    if base.mode != report.mode {
-        return Err(format!(
-            "baseline mode `{}` does not match run mode `{}`",
-            base.mode, report.mode
-        ));
-    }
-    let mut problems = Vec::new();
-    if base.cells.len() != report.cells.len() {
-        problems.push(format!(
-            "cell count changed: baseline {} vs run {}",
-            base.cells.len(),
-            report.cells.len()
-        ));
-    }
-    for c in &report.cells {
-        let Some(b) = base.cells.iter().find(|b| b.key() == c.key()) else {
-            problems.push(format!("{}: missing from baseline", c.key()));
-            continue;
-        };
-        if b != c {
-            problems.push(format!(
-                "{}: drifted (errors {} -> {}, data_trials {} -> {}, cycles {} -> {})",
-                c.key(),
-                b.bit_errors,
-                c.bit_errors,
-                b.data_trials,
-                c.data_trials,
-                b.sim_cycles,
-                c.sim_cycles
-            ));
-        }
-    }
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("\n"))
-    }
+    Report::new(quick, cells)
 }
 
 /// Render the human-readable degradation table.
@@ -443,7 +346,7 @@ pub fn check_against(report: &ChaosReport, baseline_json: &str) -> Result<(), St
 pub fn render(report: &ChaosReport) -> String {
     let mut out = String::from("Robustness sweep: accuracy under injected faults/noise\n\n");
     let _ = writeln!(out, "  {:<22} {:>9} {:>9}", "", "fixed", "selfcal");
-    for &level in &report.levels {
+    for level in report.levels() {
         let _ = writeln!(
             out,
             "  {:<22} {:>8.1}% {:>8.1}%",
@@ -490,37 +393,38 @@ mod tests {
             probe_trials: 12,
             sim_cycles: 1_000_000 + u64::from(level) * 1000,
         };
-        ChaosReport {
-            mode: "quick".to_owned(),
-            levels: vec![0, 1],
-            cells: vec![
+        Report::new(
+            true,
+            vec![
                 mk("train_test/tw/lvp", 0, "fixed", 0),
                 mk("train_test/tw/lvp", 0, "selfcal", 0),
                 mk("train_test/tw/lvp", 1, "fixed", 3),
                 mk("train_test/tw/lvp", 1, "selfcal", 1),
             ],
-        }
+        )
     }
 
     #[test]
     fn json_roundtrips_exactly() {
         let r = tiny_report();
-        let parsed = report_from_json(&to_json(&r));
+        let parsed = ChaosReport::from_json(&r.to_json(None)).unwrap();
         assert_eq!(parsed, r);
+        assert_eq!(parsed.levels(), [0, 1]);
     }
 
     #[test]
     fn check_flags_any_drift() {
         let r = tiny_report();
-        let json = to_json(&r);
-        assert!(check_against(&r, &json).is_ok());
+        let base = ChaosReport::from_json(&r.to_json(None)).unwrap();
+        assert!(r.check(&base).is_ok());
         let mut drifted = r.clone();
         drifted.cells[2].bit_errors = 4;
-        let err = check_against(&drifted, &json).unwrap_err();
-        assert!(err.contains("drifted"), "{err}");
+        let err = drifted.check(&base).unwrap_err();
+        assert_eq!(err, "train_test/tw/lvp@1/fixed: bit_errors changed 3 -> 4");
         let mut modeless = r;
         modeless.mode = "full".to_owned();
-        assert!(check_against(&modeless, &json).is_err());
+        let err = modeless.check(&base).unwrap_err();
+        assert_eq!(err, "baseline mode `quick` does not match run mode `full`");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod artifact;
 pub mod chaos_bench;
 pub mod export;
 pub mod microbench;

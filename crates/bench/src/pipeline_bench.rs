@@ -19,12 +19,14 @@ use std::time::Instant;
 use vpsec::attacks::{build_trial, AttackCategory, AttackSetup};
 use vpsec::experiment::Channel;
 use vpsim_isa::{AluOp, ProgramBuilder, Reg};
+use vpsim_json::Json;
 use vpsim_mem::MemoryConfig;
 use vpsim_obs::RingRecorder;
 use vpsim_pipeline::{CoreConfig, Machine, RunCtl, SchedStats};
 use vpsim_predictor::{Lvp, LvpConfig, NoPredictor, ValuePredictor, Vtage, VtageConfig};
 use vpsim_rng::SmallRng;
 
+use crate::artifact::{Cell, Report};
 use crate::workloads::{constant_table, pointer_chase, random_values, Workload};
 
 /// One cell of the benchmark matrix.
@@ -53,22 +55,89 @@ impl BenchCell {
         }
         self.cycles as f64 / (self.wall_ns as f64 / 1e9)
     }
+}
 
-    /// The `workload/predictor/mem` key used for baseline matching.
-    #[must_use]
-    pub fn key(&self) -> String {
+impl Cell for BenchCell {
+    const NAME: &'static str = "pipeline";
+
+    fn key(&self) -> String {
         format!("{}/{}/{}", self.workload, self.predictor, self.mem)
+    }
+
+    fn write(&self, out: &mut String) {
+        let s = &self.sched;
+        let _ = write!(
+            out,
+            "{{\"workload\": \"{}\", \"predictor\": \"{}\", \"mem\": \"{}\", \
+             \"cycles\": {}, \"wall_ns\": {}, \"sim_cycles_per_sec\": {:.1}, \
+             \"sched\": {{\"ticks\": {}, \"skipped_cycles\": {}, \"completion_events\": {}, \
+             \"wakeup_broadcasts\": {}, \"verify_events\": {}, \"issue_slots\": {}, \
+             \"dispatched\": {}}}}}",
+            self.workload,
+            self.predictor,
+            self.mem,
+            self.cycles,
+            self.wall_ns,
+            self.sim_cycles_per_sec(),
+            s.ticks,
+            s.skipped_cycles,
+            s.completion_events,
+            s.wakeup_broadcasts,
+            s.verify_events,
+            s.issue_slots,
+            s.dispatched,
+        );
+    }
+
+    fn read(j: &Json) -> Option<Self> {
+        let text = |k| Some(j.get(k)?.as_str()?.to_owned());
+        let n = |j: &Json, k| j.get(k)?.as_u64();
+        let s = j.get("sched")?;
+        Some(BenchCell {
+            workload: text("workload")?,
+            predictor: text("predictor")?,
+            mem: text("mem")?,
+            cycles: n(j, "cycles")?,
+            wall_ns: n(j, "wall_ns")?.into(),
+            sched: SchedStats {
+                ticks: n(s, "ticks")?,
+                skipped_cycles: n(s, "skipped_cycles")?,
+                completion_events: n(s, "completion_events")?,
+                wakeup_broadcasts: n(s, "wakeup_broadcasts")?,
+                verify_events: n(s, "verify_events")?,
+                issue_slots: n(s, "issue_slots")?,
+                dispatched: n(s, "dispatched")?,
+            },
+        })
+    }
+
+    /// The scheduler must stay cycle-exact, and its counters are
+    /// deterministic.
+    fn exact(&self) -> Vec<(&'static str, u64)> {
+        let s = &self.sched;
+        vec![
+            ("cycles", self.cycles),
+            ("sched.ticks", s.ticks),
+            ("sched.skipped_cycles", s.skipped_cycles),
+            ("sched.completion_events", s.completion_events),
+            ("sched.wakeup_broadcasts", s.wakeup_broadcasts),
+            ("sched.verify_events", s.verify_events),
+            ("sched.issue_slots", s.issue_slots),
+            ("sched.dispatched", s.dispatched),
+        ]
+    }
+
+    fn rate(&self) -> Option<f64> {
+        Some(self.sim_cycles_per_sec())
+    }
+
+    fn degenerate(&self) -> bool {
+        self.cycles == 0 || self.wall_ns == 0
     }
 }
 
-/// A full benchmark run: the matrix plus metadata.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// `quick` or `full`.
-    pub mode: String,
-    /// The measured cells.
-    pub cells: Vec<BenchCell>,
-}
+/// A full benchmark run: the matrix plus its mode.
+pub type BenchReport = Report<BenchCell>;
 
 fn predictor(kind: &str) -> Box<dyn ValuePredictor> {
     match kind {
@@ -304,217 +373,7 @@ fn run_matrix_with(quick: bool, traced: bool) -> BenchReport {
             }
         }
     }
-    BenchReport {
-        mode: if quick { "quick" } else { "full" }.to_owned(),
-        cells,
-    }
-}
-
-// ---------------------------------------------------------------------
-// JSON (hand-rolled: the workspace is dependency-free by design).
-// ---------------------------------------------------------------------
-
-fn json_cell(c: &BenchCell, out: &mut String) {
-    let _ = write!(
-        out,
-        "    {{\"workload\": \"{}\", \"predictor\": \"{}\", \"mem\": \"{}\", \
-         \"cycles\": {}, \"wall_ns\": {}, \"sim_cycles_per_sec\": {:.1}, \
-         \"sched\": {{\"ticks\": {}, \"skipped_cycles\": {}, \"completion_events\": {}, \
-         \"wakeup_broadcasts\": {}, \"verify_events\": {}, \"issue_slots\": {}, \
-         \"dispatched\": {}}}}}",
-        c.workload,
-        c.predictor,
-        c.mem,
-        c.cycles,
-        c.wall_ns,
-        c.sim_cycles_per_sec(),
-        c.sched.ticks,
-        c.sched.skipped_cycles,
-        c.sched.completion_events,
-        c.sched.wakeup_broadcasts,
-        c.sched.verify_events,
-        c.sched.issue_slots,
-        c.sched.dispatched,
-    );
-}
-
-/// Render the report (optionally with an embedded `before` baseline and
-/// per-cell speedups) as the `BENCH_pipeline.json` document.
-#[must_use]
-pub fn to_json(report: &BenchReport, before: Option<&BenchReport>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"vpsim-bench-pipeline/v1\",");
-    let _ = writeln!(out, "  \"mode\": \"{}\",", report.mode);
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in report.cells.iter().enumerate() {
-        json_cell(c, &mut out);
-        out.push_str(if i + 1 < report.cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ]");
-    if let Some(before) = before {
-        out.push_str(",\n  \"before\": [\n");
-        for (i, c) in before.cells.iter().enumerate() {
-            json_cell(c, &mut out);
-            out.push_str(if i + 1 < before.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"speedup\": {\n");
-        let pairs: Vec<String> = report
-            .cells
-            .iter()
-            .filter_map(|c| {
-                let b = before.cells.iter().find(|b| b.key() == c.key())?;
-                Some(format!(
-                    "    \"{}\": {:.2}",
-                    c.key(),
-                    c.sim_cycles_per_sec() / b.sim_cycles_per_sec()
-                ))
-            })
-            .collect();
-        out.push_str(&pairs.join(",\n"));
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-use vpsim_json::field_str as field;
-
-/// Re-hydrate a `BENCH_pipeline.json` document produced by [`to_json`]
-/// into a [`BenchReport`]. A minimal line-oriented parser — each cell is
-/// rendered on one line, so no JSON dependency is needed. Only the
-/// primary `cells` section is read (an embedded `before` is ignored).
-#[must_use]
-pub fn report_from_json(json: &str) -> BenchReport {
-    let mut cells = Vec::new();
-    let mut mode = "unknown".to_owned();
-    for line in json.lines() {
-        if let Some(m) = field(line, "mode") {
-            if !line.contains("\"workload\"") {
-                mode = m.to_owned();
-            }
-        }
-        if line.contains("\"before\"") {
-            break;
-        }
-        let Some(workload) = field(line, "workload") else {
-            continue;
-        };
-        let parsed = (|| -> Option<BenchCell> {
-            Some(BenchCell {
-                workload: workload.to_owned(),
-                predictor: field(line, "predictor")?.to_owned(),
-                mem: field(line, "mem")?.to_owned(),
-                cycles: field(line, "cycles")?.parse().ok()?,
-                wall_ns: field(line, "wall_ns")?.parse().ok()?,
-                sched: SchedStats {
-                    ticks: field(line, "ticks")?.parse().ok()?,
-                    skipped_cycles: field(line, "skipped_cycles")?.parse().ok()?,
-                    completion_events: field(line, "completion_events")?.parse().ok()?,
-                    wakeup_broadcasts: field(line, "wakeup_broadcasts")?.parse().ok()?,
-                    verify_events: field(line, "verify_events")?.parse().ok()?,
-                    issue_slots: field(line, "issue_slots")?.parse().ok()?,
-                    dispatched: field(line, "dispatched")?.parse().ok()?,
-                },
-            })
-        })();
-        if let Some(cell) = parsed {
-            cells.push(cell);
-        }
-    }
-    BenchReport { mode, cells }
-}
-
-/// The `(key, sim-cycles/sec, cycles)` triples used for baseline
-/// comparison.
-#[must_use]
-pub fn parse_cells(json: &str) -> Vec<(String, f64, u64)> {
-    report_from_json(json)
-        .cells
-        .iter()
-        .map(|c| (c.key(), c.sim_cycles_per_sec(), c.cycles))
-        .collect()
-}
-
-/// Compare a fresh run against a committed baseline file: error if the
-/// two cover different cells, if any cell's simulated cycle count or
-/// scheduler counters changed (the scheduler must be cycle-exact and
-/// its counters are deterministic), or if its throughput regressed by
-/// more than `max_slowdown`.
-///
-/// # Errors
-///
-/// Returns a human-readable description of every violated cell.
-pub fn check_against(
-    report: &BenchReport,
-    baseline_json: &str,
-    max_slowdown: f64,
-) -> Result<(), String> {
-    let base = report_from_json(baseline_json);
-    if base.cells.is_empty() {
-        return Err("baseline file contains no cells".to_owned());
-    }
-    // Cell keys are mode-independent but cycle counts are not: a quick
-    // run checked against a full baseline would report phantom drift.
-    if base.mode != report.mode {
-        return Err(format!(
-            "baseline mode `{}` does not match run mode `{}`",
-            base.mode, report.mode
-        ));
-    }
-    let mut problems = Vec::new();
-    if base.cells.len() != report.cells.len() {
-        problems.push(format!(
-            "cell count changed: baseline {} vs run {}",
-            base.cells.len(),
-            report.cells.len()
-        ));
-    }
-    for c in &report.cells {
-        let Some(b) = base.cells.iter().find(|b| b.key() == c.key()) else {
-            problems.push(format!("{}: missing from baseline", c.key()));
-            continue;
-        };
-        if c.cycles != b.cycles {
-            problems.push(format!(
-                "{}: simulated cycles changed {} -> {} (scheduler must be cycle-exact)",
-                c.key(),
-                b.cycles,
-                c.cycles
-            ));
-        }
-        if c.sched != b.sched {
-            problems.push(format!(
-                "{}: sched counters changed {:?} -> {:?} (they are deterministic)",
-                c.key(),
-                b.sched,
-                c.sched
-            ));
-        }
-        let (cps, base_cps) = (c.sim_cycles_per_sec(), b.sim_cycles_per_sec());
-        if cps * max_slowdown < base_cps {
-            problems.push(format!(
-                "{}: throughput regressed >{}x: {:.0} -> {:.0} sim-cycles/sec",
-                c.key(),
-                max_slowdown,
-                base_cps,
-                cps
-            ));
-        }
-    }
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("\n"))
-    }
+    Report::new(quick, cells)
 }
 
 /// Render the human-readable table printed by `bench_pipeline` and
@@ -591,34 +450,44 @@ mod tests {
     #[test]
     fn json_roundtrips_through_parser() {
         let r = run_matrix(true);
-        let json = to_json(&r, None);
-        let cells = parse_cells(&json);
-        assert_eq!(cells.len(), r.cells.len());
-        for (c, (key, _, cycles)) in r.cells.iter().zip(&cells) {
-            assert_eq!(c.key(), *key);
-            assert_eq!(c.cycles, *cycles);
+        let parsed = BenchReport::from_json(&r.to_json(None)).unwrap();
+        assert_eq!(parsed.cells.len(), r.cells.len());
+        for (c, p) in r.cells.iter().zip(&parsed.cells) {
+            assert_eq!(c.key(), p.key());
+            assert_eq!(c.exact(), p.exact());
         }
     }
 
     #[test]
     fn check_against_flags_cycle_drift() {
         let r = run_matrix(true);
-        let json = to_json(&r, None);
-        assert!(check_against(&r, &json, 2.0).is_ok());
+        let base = BenchReport::from_json(&r.to_json(None)).unwrap();
+        assert!(r.check(&base).is_ok());
+        // Each drifted exact field is named, one line each.
         let mut drifted = r.clone();
         drifted.cells[0].cycles += 1;
-        let err = check_against(&drifted, &json, 2.0).unwrap_err();
-        assert!(err.contains("cycle-exact"), "{err}");
-        let mut drifted = r.clone();
         drifted.cells[1].sched.ticks += 1;
-        let err = check_against(&drifted, &json, 2.0).unwrap_err();
-        assert!(err.contains("sched counters changed"), "{err}");
+        let err = drifted.check(&base).unwrap_err();
+        let (c, t) = (r.cells[0].cycles, r.cells[1].sched.ticks);
+        let want = [
+            format!("{}: cycles changed {c} -> {}", r.cells[0].key(), c + 1),
+            format!("{}: sched.ticks changed {t} -> {}", r.cells[1].key(), t + 1),
+        ];
+        assert_eq!(err, want.join("\n"));
+        // Wall time may grow by less than MAX_SLOWDOWN.
+        let mut slow = r.clone();
+        slow.cells[3].wall_ns = r.cells[3].wall_ns * 3 / 2;
+        assert!(slow.check(&base).is_ok());
+        slow.cells[3].wall_ns = r.cells[3].wall_ns * 3;
+        let err = slow.check(&base).unwrap_err();
+        assert!(err.contains("throughput regressed >2x"), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
         // A cell dropped from either side fails the check.
         let mut dropped = r.clone();
         dropped.cells.pop();
-        let err = check_against(&dropped, &json, 2.0).unwrap_err();
+        let err = dropped.check(&base).unwrap_err();
         assert!(err.contains("cell count changed"), "{err}");
-        let err = check_against(&r, &to_json(&dropped, None), 2.0).unwrap_err();
+        let err = r.check(&dropped).unwrap_err();
         assert!(err.contains("missing from baseline"), "{err}");
     }
 }

@@ -9,14 +9,15 @@
 //! * the *line-field* helpers ([`field_raw`], [`field_str`],
 //!   [`field_u64`], [`field_hex`], [`field_f64`]) — O(1)-allocation
 //!   extraction of `"key": value` pairs from the one-object-per-line
-//!   documents the manifest and bench baselines use. Tolerant of
+//!   documents the manifest and the fleet's frames use. Tolerant of
 //!   optional whitespace after the colon, so both historical formats
 //!   parse; a value with no `,`/`}` terminator is treated as torn and
 //!   returns `None` (truncated manifest tails must fail to parse);
-//! * a full recursive parser ([`parse`] → [`Json`]) for the nested
-//!   documents the serving plane accepts from untrusted clients —
-//!   hardened with a depth cap and typed one-line [`JsonError`]s,
-//!   never a panic or unbounded recursion.
+//! * a full recursive parser ([`parse`] → [`Json`]) for nested
+//!   documents: the specs the serving plane accepts from untrusted
+//!   clients and the bench baselines — hardened with a depth cap and
+//!   typed one-line [`JsonError`]s, never a panic or unbounded
+//!   recursion.
 //!
 //! Numbers are kept as their raw lexemes ([`Json::Num`]) so `u64`
 //! seeds round-trip bit-exactly — converting through `f64` would
