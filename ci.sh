@@ -36,6 +36,15 @@ TRACE_TMP="$(mktemp -d)"
 cmp "$TRACE_TMP/a.jsonl" "$TRACE_TMP/b.jsonl"
 rm -rf "$TRACE_TMP"
 
+# CSV-determinism smoke: the per-trial Table III CSVs are a pure
+# function of (trials, seeds) too — one worker and two workers must
+# write byte-identical directories.
+CSV_TMP="$(mktemp -d)"
+./target/release/repro --csv "$CSV_TMP/a" --table 3 --trials 40 --jobs 1 > /dev/null
+./target/release/repro --csv "$CSV_TMP/b" --table 3 --trials 40 --jobs 2 > /dev/null
+diff -r "$CSV_TMP/a" "$CSV_TMP/b"
+rm -rf "$CSV_TMP"
+
 # Robustness smoke: the quick chaos sweep (12 attack variants + RSA x
 # noise levels 0-4 x both receivers) is fully seeded, so every cell
 # must match the committed baseline bit for bit. The full sweep is the

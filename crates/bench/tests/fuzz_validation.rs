@@ -9,7 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use vpsec::experiment::{PairOutcome, TrialOutcome};
 use vpsim_harness::JobRecord;
 use vpsim_isa::{AluOp, BranchCond, ProgramBuilder, Reg};
-use vpsim_mem::{CacheGeometry, MemoryConfig, ReplacementKind};
+use vpsim_mem::{CacheGeometry, MemoryConfig, MemoryHierarchy, ReplacementKind};
 use vpsim_pipeline::CoreConfig;
 use vpsim_rng::SmallRng;
 
@@ -35,10 +35,36 @@ fn fuzz_geometry(rng: &mut SmallRng) -> CacheGeometry {
     }
 }
 
+/// Validate `cfg` and, when it is accepted, build a hierarchy from it:
+/// front ends validate first and then construct, so nothing `validate`
+/// accepts may panic. Returns whether `validate` rejected it.
+fn validate_then_build(case: &str, cfg: MemoryConfig, seed: u64) -> bool {
+    match must_not_panic(case, || cfg.validate()) {
+        Ok(()) => {
+            must_not_panic(case, || MemoryHierarchy::new(cfg, seed));
+            false
+        }
+        Err(e) => {
+            let msg = e.to_string();
+            assert!(
+                !msg.is_empty() && !msg.contains('\n'),
+                "{case}: error must render as one clean line, got {msg:?}"
+            );
+            true
+        }
+    }
+}
+
 #[test]
 fn malformed_memory_configs_error_never_panic() {
     let mut rng = SmallRng::seed_from_u64(0xf022_0001);
+    // Fully fuzzed configs are almost never valid, so a second stream
+    // fuzzes only the L2 geometry of the default config (line size
+    // kept): `validate` accepts a good share of those, and each one
+    // accepted gets built.
+    let mut near_rng = SmallRng::seed_from_u64(0xf022_0011);
     let mut rejected = 0usize;
+    let mut near_rejected = 0usize;
     for i in 0..ITERATIONS {
         let cfg = MemoryConfig {
             l1: fuzz_geometry(&mut rng),
@@ -52,19 +78,25 @@ fn malformed_memory_configs_error_never_panic() {
             prefetch: MemoryConfig::default().prefetch,
         };
         let case = format!("mem config #{i} ({cfg:?})");
-        let result = must_not_panic(&case, || cfg.validate());
-        if let Err(e) = result {
-            rejected += 1;
-            let msg = e.to_string();
-            assert!(
-                !msg.is_empty() && !msg.contains('\n'),
-                "{case}: error must render as one clean line, got {msg:?}"
-            );
-        }
+        rejected += usize::from(validate_then_build(&case, cfg, i as u64));
+        let default = MemoryConfig::default();
+        let near = MemoryConfig {
+            l2: CacheGeometry {
+                line_bytes: default.l2.line_bytes,
+                ..fuzz_geometry(&mut near_rng)
+            },
+            ..default
+        };
+        let case = format!("near-valid mem config #{i} ({near:?})");
+        near_rejected += usize::from(validate_then_build(&case, near, i as u64));
     }
     assert!(
         rejected > ITERATIONS / 2,
         "the generator should produce mostly-invalid configs (rejected {rejected})"
+    );
+    assert!(
+        near_rejected < ITERATIONS * 9 / 10,
+        "near-valid configs should often be accepted and built (rejected {near_rejected})"
     );
 }
 

@@ -6,7 +6,10 @@
 //! configurations, the performance kernels and the end-to-end RSA key
 //! leak — and assert the executor still produces **bit-identical**
 //! [`RunResult`]s: cycles, final registers, rdtsc observations, run
-//! statistics and the full commit trace.
+//! statistics and the full commit trace. `table3.tsv` came later: it was
+//! recorded from the per-set boxed cache tag store, before the flat
+//! one, and pins every Table III pair's observation, cycles and
+//! scheduler counters.
 //!
 //! To re-record (only after an *intentional* semantic change):
 //!
@@ -21,7 +24,7 @@ use std::path::PathBuf;
 
 use vpsec::attacks::{build_trial, AttackCategory, AttackSetup, Trial};
 use vpsec::chaos::ChaosConfig;
-use vpsec::experiment::Channel;
+use vpsec::experiment::{CellPlan, Channel, ExperimentConfig, PredictorKind};
 use vpsim_crypto::{leak_exponent, LeakConfig, Mpi};
 use vpsim_isa::Reg;
 use vpsim_mem::MemoryConfig;
@@ -314,6 +317,57 @@ fn rsa_cells() -> Vec<CellDigest> {
     out
 }
 
+/// Table III as campaigns run it: every supported cell of 6 categories
+/// x 2 channels x {none, lvp} on default (jittered) memory, each pair
+/// through `CellPlan::run_pair`. One digest per cell folds every arm's
+/// observation bits, total cycles and scheduler counters; `runs`
+/// counts pairs.
+fn table3_cells() -> Vec<CellDigest> {
+    let cfg = ExperimentConfig {
+        trials: 20,
+        ..ExperimentConfig::default()
+    };
+    let mut out = Vec::new();
+    for cat in AttackCategory::ALL {
+        for channel in [Channel::TimingWindow, Channel::Persistent] {
+            for predictor in [PredictorKind::None, PredictorKind::Lvp] {
+                let Some(plan) = CellPlan::new(cat, channel, predictor, &cfg) else {
+                    continue;
+                };
+                let mut digest = FNV_OFFSET;
+                let mut cycles = 0u64;
+                for t in 0..plan.trials() {
+                    let pair = plan.run_pair(t);
+                    for arm in [pair.mapped, pair.unmapped] {
+                        let s = arm.sched;
+                        let line = format!(
+                            "{} {} {} {} {} {} {} {} {}\n",
+                            arm.observed.to_bits(),
+                            arm.total_cycles,
+                            s.ticks,
+                            s.skipped_cycles,
+                            s.completion_events,
+                            s.wakeup_broadcasts,
+                            s.verify_events,
+                            s.issue_slots,
+                            s.dispatched
+                        );
+                        digest = fnv1a(digest, line.as_bytes());
+                    }
+                    cycles += pair.total_cycles();
+                }
+                out.push(CellDigest {
+                    name: format!("table3/{cat:?}/{channel:?}/{predictor:?}"),
+                    digest,
+                    runs: plan.trials() as u64,
+                    cycles,
+                });
+            }
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------
 // Fixture I/O.
 // ---------------------------------------------------------------------
@@ -411,6 +465,11 @@ fn kernel_traces_are_bit_identical() {
 #[test]
 fn rsa_leak_is_bit_identical() {
     check_or_record("rsa.tsv", &render_digests(&rsa_cells()));
+}
+
+#[test]
+fn table3_pairs_are_bit_identical() {
+    check_or_record("table3.tsv", &render_digests(&table3_cells()));
 }
 
 /// A complete human-readable commit trace for one small predicted-load

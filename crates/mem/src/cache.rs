@@ -6,8 +6,8 @@
 //! everything the attacks observe — hit/miss latency, evictions, and
 //! flush behaviour.
 
-use crate::config::{CacheGeometry, ReplacementKind};
-use crate::replacement::{Lru, RandomRepl, ReplacementPolicy, TreePlru};
+use crate::config::CacheGeometry;
+use crate::replacement::Replacement;
 use crate::stats::CacheStats;
 use crate::Addr;
 
@@ -18,6 +18,16 @@ struct Line {
     dirty: bool,
     /// Full line address (address with the offset bits cleared).
     line_addr: Addr,
+}
+
+impl Line {
+    /// How this line leaves the cache.
+    fn eviction(self) -> Eviction {
+        Eviction {
+            line_addr: self.line_addr,
+            dirty: self.dirty,
+        }
+    }
 }
 
 /// The result of a cache access.
@@ -39,11 +49,17 @@ pub struct Eviction {
 }
 
 /// A set-associative cache tag store.
+///
+/// All state lives in a few flat arrays (lines, replacement state, MRU
+/// hints), so building or dropping a cache costs a handful of
+/// allocations whatever its set count.
 #[derive(Debug)]
 pub struct Cache {
     geometry: CacheGeometry,
-    sets: Vec<Vec<Line>>,
-    policies: Vec<Box<dyn ReplacementPolicy>>,
+    /// Every way of every set, set-major: set `s` is the `s`-th chunk of
+    /// `ways` lines.
+    lines: Vec<Line>,
+    replacement: Replacement,
     /// Per-set most-recently-used way, checked before the way scan.
     /// Purely a lookup accelerator: a line lives in at most one way, so a
     /// validated hint hit returns exactly what the scan would have found.
@@ -65,24 +81,24 @@ impl Cache {
         if let Err(e) = geometry.validate() {
             panic!("invalid cache geometry: {e}");
         }
-        let policies = (0..geometry.sets)
-            .map(|i| -> Box<dyn ReplacementPolicy> {
-                match geometry.replacement {
-                    ReplacementKind::Lru => Box::new(Lru::new(geometry.ways)),
-                    ReplacementKind::TreePlru => Box::new(TreePlru::new(geometry.ways)),
-                    ReplacementKind::Random => {
-                        Box::new(RandomRepl::new(geometry.ways, seed ^ i as u64))
-                    }
-                }
-            })
-            .collect();
+        let CacheGeometry { sets, ways, .. } = geometry;
         Cache {
-            sets: vec![vec![Line::default(); geometry.ways]; geometry.sets],
-            policies,
-            mru_way: vec![0; geometry.sets],
+            lines: vec![Line::default(); sets * ways],
+            replacement: Replacement::new(geometry.replacement, sets, ways, seed),
+            mru_way: vec![0; sets],
             geometry,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Index of `(set, way)` in `lines`.
+    fn index(&self, set: usize, way: usize) -> usize {
+        set * self.geometry.ways + way
+    }
+
+    /// The ways of `set`.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        &self.lines[self.index(set, 0)..][..self.geometry.ways]
     }
 
     /// The way holding `line` in `set`, if present. Checks the per-set
@@ -90,41 +106,53 @@ impl Cache {
     /// repeated same-line accesses the attack loops produce, the hint
     /// almost always short-circuits the scan.
     fn find_way(&self, set: usize, line: Addr) -> Option<usize> {
+        let lines = self.set_lines(set);
         let hint = self.mru_way[set] as usize;
-        let l = &self.sets[set][hint];
+        let l = &lines[hint];
         if l.valid && l.line_addr == line {
             return Some(hint);
         }
-        self.sets[set]
-            .iter()
-            .position(|l| l.valid && l.line_addr == line)
+        lines.iter().position(|l| l.valid && l.line_addr == line)
     }
 
-    /// Pick the way a missing line should occupy: an invalid way if one
-    /// exists, otherwise the replacement policy's victim (counted as an
-    /// eviction, plus a writeback if dirty). Shared by the demand-miss
-    /// path ([`access`](Cache::access)) and the fill path
+    /// Record a use of `way` in `set`: replacement state and MRU hint.
+    fn touch(&mut self, set: usize, way: usize) {
+        self.replacement.touch(set, way);
+        self.mru_way[set] = way as u32;
+    }
+
+    /// Push out the line at `lines[i]`, counted as an eviction (plus a
+    /// writeback if dirty).
+    fn evict(&mut self, i: usize) -> Eviction {
+        let line = std::mem::take(&mut self.lines[i]);
+        self.stats.evictions += 1;
+        if line.dirty {
+            self.stats.writebacks += 1;
+        }
+        line.eviction()
+    }
+
+    /// Install a missing `line` into `set`: into an invalid way if one
+    /// exists, otherwise over the replacement policy's victim. Shared by
+    /// the demand-miss path ([`access`](Cache::access)) and the fill path
     /// ([`fill`](Cache::fill)) so victim selection cannot drift between
     /// them.
-    fn allocate_way(&mut self, set: usize) -> (usize, Option<Eviction>) {
-        match self.sets[set].iter().position(|l| !l.valid) {
+    fn install(&mut self, set: usize, line: Addr, dirty: bool) -> Option<Eviction> {
+        let (way, eviction) = match self.set_lines(set).iter().position(|l| !l.valid) {
             Some(way) => (way, None),
             None => {
-                let way = self.policies[set].victim();
-                let victim = self.sets[set][way];
-                self.stats.evictions += 1;
-                if victim.dirty {
-                    self.stats.writebacks += 1;
-                }
-                (
-                    way,
-                    Some(Eviction {
-                        line_addr: victim.line_addr,
-                        dirty: victim.dirty,
-                    }),
-                )
+                let way = self.replacement.victim(set);
+                (way, Some(self.evict(self.index(set, way))))
             }
-        }
+        };
+        let i = self.index(set, way);
+        self.lines[i] = Line {
+            valid: true,
+            dirty,
+            line_addr: line,
+        };
+        self.touch(set, way);
+        eviction
     }
 
     /// The cache's geometry.
@@ -171,12 +199,11 @@ impl Cache {
     pub fn access(&mut self, addr: Addr, is_write: bool) -> CacheAccess {
         let line = self.line_addr(addr);
         let set = self.set_index(line);
-        // Hit path.
         if let Some(way) = self.find_way(set, line) {
-            self.policies[set].touch(way);
-            self.mru_way[set] = way as u32;
+            self.touch(set, way);
             if is_write {
-                self.sets[set][way].dirty = true;
+                let i = self.index(set, way);
+                self.lines[i].dirty = true;
             }
             self.stats.hits += 1;
             return CacheAccess {
@@ -184,19 +211,10 @@ impl Cache {
                 eviction: None,
             };
         }
-        // Miss path: find an invalid way, or evict the policy's victim.
         self.stats.misses += 1;
-        let (way, eviction) = self.allocate_way(set);
-        self.sets[set][way] = Line {
-            valid: true,
-            dirty: is_write,
-            line_addr: line,
-        };
-        self.policies[set].touch(way);
-        self.mru_way[set] = way as u32;
         CacheAccess {
             hit: false,
-            eviction,
+            eviction: self.install(set, line, is_write),
         }
     }
 
@@ -207,19 +225,10 @@ impl Cache {
         let line = self.line_addr(addr);
         let set = self.set_index(line);
         if let Some(way) = self.find_way(set, line) {
-            self.policies[set].touch(way);
-            self.mru_way[set] = way as u32;
+            self.touch(set, way);
             return None;
         }
-        let (way, eviction) = self.allocate_way(set);
-        self.sets[set][way] = Line {
-            valid: true,
-            dirty: false,
-            line_addr: line,
-        };
-        self.policies[set].touch(way);
-        self.mru_way[set] = way as u32;
-        eviction
+        self.install(set, line, false)
     }
 
     /// Invalidate the line containing `addr`, returning whether it was
@@ -228,13 +237,9 @@ impl Cache {
         let line = self.line_addr(addr);
         let set = self.set_index(line);
         let way = self.find_way(set, line)?;
-        let victim = self.sets[set][way];
-        self.sets[set][way] = Line::default();
+        let i = self.index(set, way);
         self.stats.invalidations += 1;
-        Some(Eviction {
-            line_addr: victim.line_addr,
-            dirty: victim.dirty,
-        })
+        Some(std::mem::take(&mut self.lines[i]).eviction())
     }
 
     /// Forcibly evict whatever line occupies `(set, way)`, if any —
@@ -245,47 +250,31 @@ impl Cache {
     /// Out-of-range coordinates are ignored (`None`), so callers can
     /// draw victims without consulting the geometry first.
     pub fn evict_way(&mut self, set: usize, way: usize) -> Option<Eviction> {
-        let line = *self.sets.get(set)?.get(way)?;
-        if !line.valid {
+        if set >= self.geometry.sets || way >= self.geometry.ways {
             return None;
         }
-        self.sets[set][way] = Line::default();
-        self.stats.evictions += 1;
-        if line.dirty {
-            self.stats.writebacks += 1;
-        }
-        Some(Eviction {
-            line_addr: line.line_addr,
-            dirty: line.dirty,
-        })
+        let i = self.index(set, way);
+        self.lines[i].valid.then(|| self.evict(i))
     }
 
     /// Invalidate everything (cold-start).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = Line::default();
-            }
-        }
-        for p in &mut self.policies {
-            p.reset();
-        }
+        self.lines.fill(Line::default());
+        self.replacement.reset();
         self.mru_way.fill(0);
     }
 
     /// Number of currently valid lines (for occupancy assertions).
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.valid).count())
-            .sum()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ReplacementKind;
 
     fn small() -> CacheGeometry {
         CacheGeometry {

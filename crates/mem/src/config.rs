@@ -14,6 +14,11 @@ pub enum ConfigError {
     },
     /// `ways` is zero.
     ZeroWays,
+    /// Tree-PLRU with a way count that is not a power of two.
+    PlruWaysNotPowerOfTwo {
+        /// The offending way count.
+        ways: usize,
+    },
     /// `line_bytes` is not a power of two of at least 8.
     BadLineSize {
         /// The offending line size.
@@ -42,6 +47,12 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "sets must be a power of two (got {sets})")
             }
             ConfigError::ZeroWays => write!(f, "associativity must be at least 1"),
+            ConfigError::PlruWaysNotPowerOfTwo { ways } => {
+                write!(
+                    f,
+                    "tree-PLRU needs a power-of-two associativity (got {ways})"
+                )
+            }
             ConfigError::BadLineSize { line_bytes } => write!(
                 f,
                 "line size must be a power of two of at least 8 bytes (got {line_bytes})"
@@ -116,13 +127,17 @@ impl CacheGeometry {
     /// # Errors
     ///
     /// Fails when `sets` or `line_bytes` is not a power of two, when
-    /// `ways == 0`, or when `line_bytes < 8`.
+    /// `ways == 0`, when `line_bytes < 8`, or when tree-PLRU has a way
+    /// count that is not a power of two.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !self.sets.is_power_of_two() {
             return Err(ConfigError::SetsNotPowerOfTwo { sets: self.sets });
         }
         if self.ways < 1 {
             return Err(ConfigError::ZeroWays);
+        }
+        if self.replacement == ReplacementKind::TreePlru && !self.ways.is_power_of_two() {
+            return Err(ConfigError::PlruWaysNotPowerOfTwo { ways: self.ways });
         }
         if !self.line_bytes.is_power_of_two() || self.line_bytes < 8 {
             return Err(ConfigError::BadLineSize {
@@ -282,6 +297,27 @@ mod tests {
         let err = g.validate().unwrap_err();
         assert_eq!(err, ConfigError::SetsNotPowerOfTwo { sets: 48 });
         assert!(err.to_string().contains("power of two"));
+    }
+
+    #[test]
+    fn tree_plru_needs_power_of_two_ways() {
+        let g = CacheGeometry {
+            sets: 64,
+            ways: 3,
+            line_bytes: 64,
+            hit_latency: 4,
+            replacement: ReplacementKind::TreePlru,
+        };
+        let err = g.validate().unwrap_err();
+        assert_eq!(err, ConfigError::PlruWaysNotPowerOfTwo { ways: 3 });
+        assert!(err.to_string().contains("power-of-two"));
+        CacheGeometry { ways: 4, ..g }.validate().unwrap();
+        CacheGeometry {
+            replacement: ReplacementKind::Lru,
+            ..g
+        }
+        .validate()
+        .unwrap();
     }
 
     #[test]

@@ -322,28 +322,16 @@ impl MemoryHierarchy {
             });
         }
         if level != HitLevel::L1 && self.config.prefetch == crate::PrefetchKind::NextLine {
-            // Fill the next sequential line off the demand path.
-            let next = self.l1.line_addr(addr) + self.config.line_bytes();
-            let e2 = self.l2.fill(next);
-            let e1 = self.l1.fill(next);
-            self.stats.prefetches += 1;
-            if self.trace_enabled {
-                for (level, fill, evict) in [
-                    (Level::L2, self.l2.line_addr(next), e2),
-                    (Level::L1, next, e1),
-                ] {
-                    self.trace_buf.push(TraceEvent::CacheFill {
-                        level,
-                        line_addr: fill,
-                    });
-                    if let Some(e) = evict {
-                        self.trace_buf.push(TraceEvent::CacheEvict {
-                            level,
-                            line_addr: e.line_addr,
-                            dirty: e.dirty,
-                        });
-                    }
-                }
+            // Fill the next sequential line off the demand path. The last
+            // line of the address space has none: a transient load there
+            // must not wrap around and prefetch line 0.
+            if let Some(next) = self
+                .l1
+                .line_addr(addr)
+                .checked_add(self.config.line_bytes())
+            {
+                self.fill_both(next);
+                self.stats.prefetches += 1;
             }
         }
         AccessOutcome {
@@ -405,6 +393,13 @@ impl MemoryHierarchy {
     /// the load that performed it became non-speculative (committed).
     pub fn install(&mut self, addr: Addr) {
         self.tlb.insert(addr);
+        self.fill_both(addr);
+    }
+
+    /// Fill the line containing `addr` into L2, then L1, without
+    /// counting a demand access, tracing each fill and any eviction it
+    /// causes.
+    fn fill_both(&mut self, addr: Addr) {
         let e2 = self.l2.fill(addr);
         let e1 = self.l1.fill(addr);
         if self.trace_enabled {
@@ -597,6 +592,18 @@ mod tests {
         assert!(m.probe_l1(0x1040), "next line prefetched");
         assert_eq!(m.read(0x1040).level, HitLevel::L1);
         assert_eq!(m.stats().prefetches, 1, "L1 hit must not prefetch");
+    }
+
+    #[test]
+    fn next_line_prefetcher_stops_at_the_top_of_the_address_space() {
+        let mut cfg = MemoryConfig::deterministic();
+        cfg.prefetch = crate::PrefetchKind::NextLine;
+        let mut m = MemoryHierarchy::new(cfg, 0);
+        assert_eq!(m.read(u64::MAX).level, HitLevel::Dram);
+        assert!(m.probe_l1(u64::MAX), "the demand line itself is filled");
+        assert!(!m.probe_l1(0), "no wrapped prefetch of line 0 into L1");
+        assert!(!m.probe_l2(0), "no wrapped prefetch of line 0 into L2");
+        assert_eq!(m.stats().prefetches, 0, "no next line, no prefetch");
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub use backing::BackingStore;
 pub use cache::{Cache, CacheAccess, Eviction};
 pub use config::{CacheGeometry, ConfigError, MemoryConfig, PrefetchKind, ReplacementKind};
 pub use hierarchy::{AccessOutcome, HitLevel, MemoryHierarchy};
-pub use replacement::{Lru, RandomRepl, ReplacementPolicy, TreePlru};
 pub use stats::{CacheStats, MemoryStats};
 pub use tlb::{Tlb, TlbOutcome};
 
