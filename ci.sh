@@ -10,7 +10,11 @@ cd "$(dirname "$0")"
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --workspace --release
-cargo test --workspace --quiet
+# Build the test binaries first, so the time limit covers only the run:
+# the suite takes 23-32 s on a 2-core host, and a hang fails CI at 300 s
+# instead of stalling it.
+cargo test --workspace --quiet --no-run
+timeout 300 cargo test --workspace --quiet
 
 # Perf smoke: rerun the quick executor-benchmark matrix and compare
 # against the committed baseline. Fails on any drift in simulated

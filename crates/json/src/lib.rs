@@ -214,7 +214,8 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`; always on a char boundary.
     pos: usize,
 }
 
@@ -227,7 +228,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -264,7 +265,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_keyword(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -302,9 +303,7 @@ impl<'a> Parser<'a> {
                 return self.err("malformed number (no exponent digits)");
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number lexemes are ASCII")
-            .to_owned();
+        let raw = self.src[start..self.pos].to_owned();
         // Sanity-parse: the lexeme must be representable at all.
         if raw.parse::<f64>().is_err() {
             return self.err("number out of range");
@@ -335,9 +334,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok());
                             match hex.and_then(char::from_u32) {
                                 // Surrogate halves and lone \u escapes
@@ -356,13 +354,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; reject invalid bytes.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| JsonError {
-                            offset: self.pos,
-                            message: "invalid UTF-8 in string".to_owned(),
-                        })?;
-                    let c = rest.chars().next().expect("non-empty checked above");
+                    // Consume one UTF-8 scalar, decoded from the input in
+                    // place (not re-validating the rest keeps this linear).
+                    let c = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty checked above");
                     if (c as u32) < 0x20 {
                         return self.err("raw control character in string");
                     }
@@ -435,13 +432,10 @@ impl<'a> Parser<'a> {
 /// Returns a one-line [`JsonError`] naming the byte offset of the
 /// first problem. Never panics, whatever the input.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     let value = p.parse_value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return p.err("trailing data after document");
     }
     Ok(value)

@@ -7,6 +7,56 @@ use vpsim_mem::Cycles;
 /// run; doubles as the register-rename tag.
 pub type Seq = u64;
 
+/// An ordered set of seqs, kept as a sorted vector. Its members are
+/// in-flight instructions, so it never outgrows the ROB: inserting the
+/// youngest seq (dispatch's case) is an append, other inserts and
+/// removes a binary search plus a short shift, "any member older than
+/// seq" a look at the first, and a squash a truncation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SeqSet(Vec<Seq>);
+
+impl SeqSet {
+    /// Add `seq`; adding a member again changes nothing.
+    pub(crate) fn insert(&mut self, seq: Seq) {
+        match self.0.last() {
+            Some(&last) if last >= seq => {
+                if let Err(at) = self.0.binary_search(&seq) {
+                    self.0.insert(at, seq);
+                }
+            }
+            _ => self.0.push(seq),
+        }
+    }
+
+    /// Remove `seq` if it is a member.
+    pub(crate) fn remove(&mut self, seq: Seq) {
+        if let Ok(at) = self.0.binary_search(&seq) {
+            self.0.remove(at);
+        }
+    }
+
+    /// Whether any member is older (smaller) than `seq`.
+    pub(crate) fn any_below(&self, seq: Seq) -> bool {
+        self.0.first().is_some_and(|&first| first < seq)
+    }
+
+    /// Remove every member younger (larger) than `seq`.
+    pub(crate) fn truncate_after(&mut self, seq: Seq) {
+        let keep = self.0.partition_point(|&s| s <= seq);
+        self.0.truncate(keep);
+    }
+
+    /// The members, oldest first.
+    pub(crate) fn as_slice(&self) -> &[Seq] {
+        &self.0
+    }
+
+    /// Remove every member, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Execution status of a ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
@@ -65,6 +115,9 @@ pub struct DynInst {
     pub verified: bool,
     /// D-type: this load skipped its cache fill; install at commit.
     pub deferred_fill: bool,
+    /// A load that missed without a prediction: it owes the VPS a
+    /// training update (its pc and address, its value) on completion.
+    pub pending_train: bool,
     /// Branch resolution outcome: the next fetch PC.
     pub redirect: Option<Pc>,
     /// For branches under a speculating front-end: the PC fetch
@@ -90,6 +143,7 @@ impl DynInst {
             verify_at: None,
             verified: false,
             deferred_fill: false,
+            pending_train: false,
             redirect: None,
             predicted_next: None,
         }
@@ -198,6 +252,72 @@ mod tests {
         e.verified = true;
         assert!(!e.committable(10), "verify_at still in the future");
         assert!(e.committable(50));
+    }
+
+    /// `SeqSet` against `BTreeSet<Seq>` on seeded operation streams:
+    /// inserts in dispatch order, out of order and again; removes of
+    /// members and non-members; truncation at, just below and just above
+    /// a member; "any below" probes. Membership, in order, and a fresh
+    /// "any below" probe are compared after every operation.
+    #[test]
+    fn seq_set_matches_btree_set() {
+        use std::collections::BTreeSet;
+        use vpsim_rng::SmallRng;
+
+        /// A member, one just below or above a member, or any seq up
+        /// to just past the youngest.
+        fn probe(rng: &mut SmallRng, model: &BTreeSet<Seq>, youngest: Seq) -> Seq {
+            let members: Vec<Seq> = model.iter().copied().collect();
+            if members.is_empty() || rng.gen_bool(0.5) {
+                return rng.gen_range(0..youngest + 3);
+            }
+            let m = *rng.choose(&members);
+            match rng.gen_range(0u64..3) {
+                0 => m.saturating_sub(1),
+                1 => m,
+                _ => m + 1,
+            }
+        }
+
+        for stream in 0..64u64 {
+            let mut rng = SmallRng::seed_from_u64(0x5e05_e700 ^ stream);
+            let mut set = SeqSet::default();
+            let mut model = BTreeSet::new();
+            let mut youngest: Seq = 0;
+            for op in 0..400 {
+                let seq = probe(&mut rng, &model, youngest);
+                match rng.gen_range(0u64..6) {
+                    0 | 1 => {
+                        youngest += rng.gen_range(1u64..4);
+                        set.insert(youngest);
+                        model.insert(youngest);
+                    }
+                    2 => {
+                        set.insert(seq);
+                        model.insert(seq);
+                    }
+                    3 => {
+                        set.remove(seq);
+                        model.remove(&seq);
+                    }
+                    4 => {
+                        set.truncate_after(seq);
+                        model.split_off(&(seq + 1));
+                    }
+                    _ => {}
+                }
+                let want: Vec<Seq> = model.iter().copied().collect();
+                assert_eq!(set.as_slice(), want, "stream {stream}, op {op}");
+                let below = probe(&mut rng, &model, youngest);
+                assert_eq!(
+                    set.any_below(below),
+                    model.range(..below).next().is_some(),
+                    "stream {stream}, op {op}: any below {below}"
+                );
+            }
+            set.clear();
+            assert!(set.as_slice().is_empty());
+        }
     }
 
     #[test]

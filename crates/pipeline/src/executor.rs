@@ -38,19 +38,26 @@
 //!   the complete phase;
 //! * a min-heap of **verification events** keyed `(verify_at, seq)`
 //!   drives the verify phase;
-//! * a **consumer index** (producer seq → waiting consumer seqs) routes
+//! * a **consumer list** of `(producer, consumer)` registrations routes
 //!   wakeup broadcasts to exactly the instructions that asked for them;
-//! * a **ready queue** (ordered set of issuable seqs) feeds the issue
-//!   phase oldest-first;
-//! * **pending VPS trainings** live in a seq-keyed map with O(1)
-//!   removal.
+//! * a **ready queue** (a sorted [`SeqSet`] of issuable seqs) feeds the
+//!   issue phase oldest-first;
+//! * a load that owes the VPS a training update carries a flag on its
+//!   ROB entry.
+//!
+//! These live in an [`ExecState`] the [`Machine`](crate::Machine) owns
+//! and every run borrows, so a warm run reuses their allocations; a run
+//! clears it first, so nothing a previous run left (an error exit or an
+//! unwound panic included) reaches the next. A ROB lookup by seq
+//! ([`rob_pos`]) is O(1) unless a squash gap lies between the entry and
+//! the tail.
 //!
 //! Heap entries invalidated by a squash are discarded lazily: each pop
 //! re-checks the event against the live ROB entry. Seqs are never
 //! reused within a run, so a stale event can never alias a live one.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use vpsim_chaos::PipeChaos;
 use vpsim_isa::{Inst, Pc, Program, RegFile, NUM_REGS};
@@ -60,8 +67,7 @@ use vpsim_predictor::{LoadContext, ValuePredictor};
 
 use crate::cancel::CancelToken;
 use crate::config::CoreConfig;
-use crate::dyninst::{DynInst, LoadOrigin, Seq, Status};
-use crate::machine::RunCtl;
+use crate::dyninst::{DynInst, LoadOrigin, Seq, SeqSet, Status};
 use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
 
 /// Scheduler ticks between cancellation-point checks, minus one. The
@@ -70,13 +76,81 @@ use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
 /// untripped runs bit-identical to unsupervised ones.
 const CANCEL_CHECK_MASK: u64 = 1024 - 1;
 
+/// The executor's ROB, phase indices and per-tick scratch buffers: the
+/// state that needs heap memory. The [`Machine`](crate::Machine) owns
+/// one and lends it to every run, which [clears](ExecState::clear) it
+/// first, so warm runs reuse its allocations.
+#[derive(Debug, Default)]
+pub(crate) struct ExecState {
+    /// In-flight instructions, oldest first; seqs strictly increase.
+    rob: VecDeque<DynInst>,
+    /// Completion events `(done_at, seq)`; lazily invalidated.
+    completions: BinaryHeap<Reverse<(Cycles, Seq)>>,
+    /// Verification events `(verify_at, seq)`; lazily invalidated.
+    verifications: BinaryHeap<Reverse<(Cycles, Seq)>>,
+    /// `(producer, consumer)`: a consumer waiting on a producer's result
+    /// broadcast, in registration order.
+    consumers: Vec<(Seq, Seq)>,
+    /// Results that became available this cycle, in completion order.
+    pending_wakeup: Vec<(Seq, u64)>,
+    /// Waiting entries whose operands are all ready, oldest first.
+    ready: SeqSet,
+    /// Seqs of in-flight loads carrying an unverified prediction (the
+    /// D-type shadow test asks for "any unverified prediction older
+    /// than seq").
+    unverified: SeqSet,
+    /// Stores whose address is still unknown (not yet issued). Loads
+    /// cannot issue past them.
+    unissued_stores: SeqSet,
+    /// Flushes anywhere in the ROB (they block younger loads from
+    /// issuing until commit).
+    flushes_in_rob: SeqSet,
+    /// Issue-phase scratch: the ready queue as the sweep began.
+    candidates: Vec<Seq>,
+    /// Complete-phase scratch: VPS trainings owed, in completion order.
+    trains: Vec<(LoadContext, u64)>,
+}
+
+impl ExecState {
+    /// Empty every field, keeping the allocations.
+    fn clear(&mut self) {
+        self.rob.clear();
+        self.completions.clear();
+        self.verifications.clear();
+        self.consumers.clear();
+        self.pending_wakeup.clear();
+        self.ready.clear();
+        self.unverified.clear();
+        self.unissued_stores.clear();
+        self.flushes_in_rob.clear();
+        self.candidates.clear();
+        self.trains.clear();
+    }
+}
+
+/// ROB position of `seq`, if still in flight. Seqs increase along the
+/// ROB and are never reused, and everything dispatched since the last
+/// squash sits contiguously at the tail, so the tail-anchored slot
+/// `len - 1 - (back.seq - seq)` holds `seq` unless a squash gap lies
+/// between them; only then does the lookup binary-search.
+fn rob_pos(rob: &VecDeque<DynInst>, seq: Seq) -> Option<usize> {
+    let from_back = rob.back()?.seq.checked_sub(seq)?;
+    if let Some(slot) = (rob.len() as u64 - 1).checked_sub(from_back) {
+        if rob[slot as usize].seq == seq {
+            return Some(slot as usize);
+        }
+    }
+    let pos = rob.partition_point(|e| e.seq < seq);
+    (pos < rob.len() && rob[pos].seq == seq).then_some(pos)
+}
+
 pub(crate) struct Executor<'a> {
     config: CoreConfig,
     program: &'a Program,
     pid: u32,
     mem: &'a mut MemoryHierarchy,
     vp: &'a mut dyn ValuePredictor,
-    rob: VecDeque<DynInst>,
+    state: &'a mut ExecState,
     rat: [Option<Seq>; NUM_REGS],
     regs: RegFile,
     fetch_pc: Pc,
@@ -92,34 +166,10 @@ pub(crate) struct Executor<'a> {
     /// Work performed in the current phase sweep; zero means the machine
     /// is quiescent and the clock may jump to the next timer.
     work_this_cycle: u64,
-    /// Completion events `(done_at, seq)`; lazily invalidated.
-    completions: BinaryHeap<Reverse<(Cycles, Seq)>>,
-    /// Verification events `(verify_at, seq)`; lazily invalidated.
-    verifications: BinaryHeap<Reverse<(Cycles, Seq)>>,
-    /// Producer seq → consumers waiting on its result broadcast.
-    consumers: HashMap<Seq, Vec<Seq>>,
-    /// Results that became available this cycle, in completion order.
-    pending_wakeup: Vec<(Seq, u64)>,
-    /// Waiting entries whose operands are all ready, oldest first.
-    ready: BTreeSet<Seq>,
-    /// Seqs of in-flight loads carrying an unverified prediction (the
-    /// D-type shadow test needs "any unverified prediction older than
-    /// seq" as a range query).
-    unverified: BTreeSet<Seq>,
-    /// Stores whose address is still unknown (not yet issued). Loads
-    /// cannot issue past them; "any older unissued store" is a range
-    /// query instead of a ROB scan.
-    unissued_stores: BTreeSet<Seq>,
-    /// Flushes anywhere in the ROB (they block younger loads from
-    /// dispatch until commit).
-    flushes_in_rob: BTreeSet<Seq>,
     /// Fetched-but-uncommitted `halt`s (fetch stalls behind them).
     halts_in_flight: usize,
     /// Dispatched-but-unresolved branches (stall-mode fetch gate).
     unresolved_branches: usize,
-    /// Loads (by seq) that missed without a prediction and still owe the
-    /// VPS a training update when their data arrives.
-    pending_train: HashMap<Seq, (LoadContext, u64)>,
     /// The pipeline-side fault injector (spurious squashes), when a
     /// noise plane is installed. Draws once per committed instruction,
     /// a point the cycle-skipping scheduler reaches identically on
@@ -142,6 +192,7 @@ impl<'a> Executor<'a> {
         pid: u32,
         mem: &'a mut MemoryHierarchy,
         vp: &'a mut dyn ValuePredictor,
+        state: &'a mut ExecState,
         chaos: Option<&'a mut PipeChaos>,
         cancel: Option<&'a CancelToken>,
         tracer: Option<&'a mut dyn TraceSink>,
@@ -149,13 +200,14 @@ impl<'a> Executor<'a> {
         if let Err(e) = config.validate() {
             panic!("invalid core configuration: {e}");
         }
+        state.clear();
         Executor {
             config,
             program,
             pid,
             mem,
             vp,
-            rob: VecDeque::new(),
+            state,
             rat: [None; NUM_REGS],
             regs: RegFile::new(),
             fetch_pc: Pc(0),
@@ -169,17 +221,8 @@ impl<'a> Executor<'a> {
             sched: SchedStats::default(),
             trace: Vec::new(),
             work_this_cycle: 0,
-            completions: BinaryHeap::new(),
-            verifications: BinaryHeap::new(),
-            consumers: HashMap::new(),
-            pending_wakeup: Vec::new(),
-            ready: BTreeSet::new(),
-            unverified: BTreeSet::new(),
-            unissued_stores: BTreeSet::new(),
-            flushes_in_rob: BTreeSet::new(),
             halts_in_flight: 0,
             unresolved_branches: 0,
-            pending_train: HashMap::new(),
             chaos,
             cancel,
             tracer,
@@ -262,14 +305,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// ROB position of `seq`, if still in flight. The ROB is ordered by
-    /// seq (dispatch appends monotonically; squash and commit preserve
-    /// order), so this is a binary search.
-    fn rob_pos(&self, seq: Seq) -> Option<usize> {
-        let pos = self.rob.partition_point(|e| e.seq < seq);
-        (pos < self.rob.len() && self.rob[pos].seq == seq).then_some(pos)
-    }
-
     // ------------------------------------------------------------------
     // The next-event clock.
     // ------------------------------------------------------------------
@@ -300,8 +335,8 @@ impl<'a> Executor<'a> {
 
     /// Whether a completion event still refers to a live executing entry.
     fn completion_is_live(&self, t: Cycles, seq: Seq) -> bool {
-        self.rob_pos(seq).is_some_and(|p| {
-            let e = &self.rob[p];
+        rob_pos(&self.state.rob, seq).is_some_and(|p| {
+            let e = &self.state.rob[p];
             e.status == Status::Executing && e.done_at == Some(t)
         })
     }
@@ -309,19 +344,19 @@ impl<'a> Executor<'a> {
     /// Whether a verification event still refers to an unverified
     /// predicted load.
     fn verification_is_live(&self, t: Cycles, seq: Seq) -> bool {
-        self.rob_pos(seq).is_some_and(|p| {
-            let e = &self.rob[p];
+        rob_pos(&self.state.rob, seq).is_some_and(|p| {
+            let e = &self.state.rob[p];
             e.is_unverified_prediction() && e.verify_at == Some(t)
         })
     }
 
     /// Time of the earliest live completion event, discarding stale ones.
     fn peek_completion(&mut self) -> Option<Cycles> {
-        while let Some(&Reverse((t, seq))) = self.completions.peek() {
+        while let Some(&Reverse((t, seq))) = self.state.completions.peek() {
             if self.completion_is_live(t, seq) {
                 return Some(t);
             }
-            self.completions.pop();
+            self.state.completions.pop();
         }
         None
     }
@@ -329,26 +364,26 @@ impl<'a> Executor<'a> {
     /// Time of the earliest live verification event, discarding stale
     /// ones.
     fn peek_verification(&mut self) -> Option<Cycles> {
-        while let Some(&Reverse((t, seq))) = self.verifications.peek() {
+        while let Some(&Reverse((t, seq))) = self.state.verifications.peek() {
             if self.verification_is_live(t, seq) {
                 return Some(t);
             }
-            self.verifications.pop();
+            self.state.verifications.pop();
         }
         None
     }
 
     /// Pop the oldest live completion event due at the current cycle.
     fn pop_due_completion(&mut self) -> Option<Seq> {
-        while let Some(&Reverse((t, seq))) = self.completions.peek() {
+        while let Some(&Reverse((t, seq))) = self.state.completions.peek() {
             if !self.completion_is_live(t, seq) {
-                self.completions.pop();
+                self.state.completions.pop();
                 continue;
             }
             if t > self.cycle {
                 return None;
             }
-            self.completions.pop();
+            self.state.completions.pop();
             return Some(seq);
         }
         None
@@ -356,15 +391,15 @@ impl<'a> Executor<'a> {
 
     /// Pop the oldest live verification event due at the current cycle.
     fn pop_due_verification(&mut self) -> Option<Seq> {
-        while let Some(&Reverse((t, seq))) = self.verifications.peek() {
+        while let Some(&Reverse((t, seq))) = self.state.verifications.peek() {
             if !self.verification_is_live(t, seq) {
-                self.verifications.pop();
+                self.state.verifications.pop();
                 continue;
             }
             if t > self.cycle {
                 return None;
             }
-            self.verifications.pop();
+            self.state.verifications.pop();
             return Some(seq);
         }
         None
@@ -378,14 +413,14 @@ impl<'a> Executor<'a> {
         // Events share one due cycle (a prediction is verified the cycle
         // its data arrives), so heap order == ROB order among due events.
         while let Some(seq) = self.pop_due_verification() {
-            let pos = self.rob_pos(seq).expect("live verification event");
+            let pos = rob_pos(&self.state.rob, seq).expect("live verification event");
             self.work_this_cycle += 1;
             self.sched.verify_events += 1;
             let (pc, addr) = {
-                let e = &self.rob[pos];
+                let e = &self.state.rob[pos];
                 (e.pc, e.addr.expect("predicted load has an address"))
             };
-            let (predicted, actual) = match self.rob[pos].load_origin {
+            let (predicted, actual) = match self.state.rob[pos].load_origin {
                 Some(LoadOrigin::Predicted { predicted, actual }) => (predicted, actual),
                 _ => unreachable!("unverified prediction must carry Predicted origin"),
             };
@@ -397,8 +432,8 @@ impl<'a> Executor<'a> {
                     value: actual,
                 });
             }
-            self.rob[pos].verified = true;
-            self.unverified.remove(&seq);
+            self.state.rob[pos].verified = true;
+            self.state.unverified.remove(seq);
             if predicted == actual {
                 self.stats.correct_predictions += 1;
                 continue;
@@ -416,8 +451,8 @@ impl<'a> Executor<'a> {
             }
             self.stats.mispredictions += 1;
             self.stats.squashes += 1;
-            self.rob[pos].result = Some(actual);
-            self.rob[pos].done_at = Some(self.cycle);
+            self.state.rob[pos].result = Some(actual);
+            self.state.rob[pos].done_at = Some(self.cycle);
             self.squash_younger_than(seq, None);
         }
     }
@@ -427,15 +462,12 @@ impl<'a> Executor<'a> {
     /// at the branch's true target; value mispredictions refetch the
     /// squashed path itself).
     fn squash_younger_than(&mut self, seq: Seq, redirect: Option<Pc>) {
-        let first_squashed_pc = self.rob.iter().find(|e| e.seq > seq).map(|e| e.pc);
-        let before = self.rob.len();
-        let discarded_fills = self
-            .rob
-            .iter()
-            .filter(|e| e.seq > seq && e.deferred_fill)
-            .count() as u64;
-        self.rob.retain(|e| e.seq <= seq);
-        let squashed = (before - self.rob.len()) as u64;
+        let rob = &mut self.state.rob;
+        let keep = rob.partition_point(|e| e.seq <= seq);
+        let first_squashed_pc = rob.get(keep).map(|e| e.pc);
+        let discarded_fills = rob.range(keep..).filter(|e| e.deferred_fill).count() as u64;
+        let squashed = (rob.len() - keep) as u64;
+        rob.truncate(keep);
         if self.tracer.is_some() {
             self.emit(TraceEvent::Squash {
                 after_seq: seq,
@@ -444,28 +476,31 @@ impl<'a> Executor<'a> {
         }
         self.stats.squashed_insts += squashed;
         self.stats.deferred_fills_discarded += discarded_fills;
-        // Purge squashed seqs from the phase indices. Heap events decay
-        // lazily; stale consumer registrations are re-checked against
-        // the live ROB at broadcast time.
-        self.pending_train.retain(|s, _| *s <= seq);
-        self.consumers.retain(|p, _| *p <= seq);
-        drop(self.ready.split_off(&(seq + 1)));
-        drop(self.unverified.split_off(&(seq + 1)));
-        drop(self.unissued_stores.split_off(&(seq + 1)));
-        drop(self.flushes_in_rob.split_off(&(seq + 1)));
+        // Purge squashed seqs from the phase indices; heap events decay
+        // lazily. A consumer is younger than its producer, so dropping
+        // squashed consumers drops squashed producers' registrations too.
+        self.state
+            .consumers
+            .retain(|&(_, consumer)| consumer <= seq);
+        self.state.ready.truncate_after(seq);
+        self.state.unverified.truncate_after(seq);
+        self.state.unissued_stores.truncate_after(seq);
+        self.state.flushes_in_rob.truncate_after(seq);
         self.halts_in_flight = self
+            .state
             .rob
             .iter()
             .filter(|e| matches!(e.inst, Inst::Halt))
             .count();
         self.unresolved_branches = self
+            .state
             .rob
             .iter()
             .filter(|e| matches!(e.inst, Inst::Branch { .. }) && e.status != Status::Done)
             .count();
         // Roll the rename table back to the surviving producers.
         self.rat = [None; NUM_REGS];
-        for e in &self.rob {
+        for e in &self.state.rob {
             if let Some(rd) = e.inst.dest() {
                 self.rat[rd.index()] = Some(e.seq);
             }
@@ -486,25 +521,29 @@ impl<'a> Executor<'a> {
     // ------------------------------------------------------------------
 
     fn complete(&mut self) {
-        let mut trains = Vec::new();
         // Due events pop in (cycle, seq) order; all due events share the
         // current cycle, so this is ROB (program) order, exactly the
         // order the tick-by-tick scan processed them in. A mispredicted
         // branch squashes every younger entry; their events go stale and
         // the drain loop discards them.
         while let Some(seq) = self.pop_due_completion() {
-            let pos = self.rob_pos(seq).expect("live completion event");
+            let pos = rob_pos(&self.state.rob, seq).expect("live completion event");
             self.work_this_cycle += 1;
             self.sched.completion_events += 1;
-            let e = &mut self.rob[pos];
+            let e = &mut self.state.rob[pos];
             e.status = Status::Done;
-            if e.inst.is_load() {
-                if let Some(train) = self.pending_train.remove(&seq) {
-                    trains.push(train);
-                }
+            if e.pending_train {
+                let ctx = LoadContext {
+                    pc: e.pc.byte_addr(),
+                    addr: e.addr.expect("issued load has an address"),
+                    pid: self.pid,
+                };
+                let actual = e.result.expect("completed load has its value");
+                self.state.trains.push((ctx, actual));
             }
             if e.inst.dest().is_some() {
-                self.pending_wakeup
+                self.state
+                    .pending_wakeup
                     .push((seq, e.result.expect("completed instruction has a result")));
             }
             if let Inst::Branch { .. } = e.inst {
@@ -525,7 +564,8 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        for (ctx, actual) in trains {
+        for i in 0..self.state.trains.len() {
+            let (ctx, actual) = self.state.trains[i];
             self.vp.train(&ctx, actual, None);
             if self.tracer.is_some() {
                 self.emit(TraceEvent::Train {
@@ -534,6 +574,7 @@ impl<'a> Executor<'a> {
                 });
             }
         }
+        self.state.trains.clear();
     }
 
     // ------------------------------------------------------------------
@@ -541,31 +582,35 @@ impl<'a> Executor<'a> {
     // ------------------------------------------------------------------
 
     fn wakeup(&mut self) {
-        let pending = std::mem::take(&mut self.pending_wakeup);
-        for (producer, value) in pending {
-            let Some(waiters) = self.consumers.remove(&producer) else {
-                continue;
+        if self.state.pending_wakeup.is_empty() {
+            return;
+        }
+        // One pass over the registrations: each consumer of a producer
+        // that broadcast this cycle takes the value and is dropped.
+        // Squashes purge squashed consumers, so every one is in the ROB.
+        let state = &mut *self.state;
+        let (rob, ready, pending) = (&mut state.rob, &mut state.ready, &state.pending_wakeup);
+        let (work, sched) = (&mut self.work_this_cycle, &mut self.sched);
+        state.consumers.retain(|&(producer, consumer)| {
+            let Some(&(_, value)) = pending.iter().find(|(p, _)| *p == producer) else {
+                return true;
             };
-            for consumer in waiters {
-                // A squashed consumer may still be registered; the seq
-                // lookup and tag check make stale registrations inert.
-                let Some(pos) = self.rob_pos(consumer) else {
-                    continue;
-                };
-                let e = &mut self.rob[pos];
-                for i in 0..2 {
-                    if e.src_tags[i] == Some(producer) {
-                        e.operands[i] = Some(value);
-                        e.src_tags[i] = None;
-                        self.work_this_cycle += 1;
-                        self.sched.wakeup_broadcasts += 1;
-                    }
-                }
-                if e.status == Status::Waiting && e.operands_ready() {
-                    self.ready.insert(consumer);
+            let pos = rob_pos(rob, consumer).expect("registered consumers are in the ROB");
+            let e = &mut rob[pos];
+            for i in 0..2 {
+                if e.src_tags[i] == Some(producer) {
+                    e.operands[i] = Some(value);
+                    e.src_tags[i] = None;
+                    *work += 1;
+                    sched.wakeup_broadcasts += 1;
                 }
             }
-        }
+            if e.status == Status::Waiting && e.operands_ready() {
+                ready.insert(consumer);
+            }
+            false
+        });
+        state.pending_wakeup.clear();
     }
 
     // ------------------------------------------------------------------
@@ -578,13 +623,17 @@ impl<'a> Executor<'a> {
         // executor's ascending ROB scan. Entries that fail their issue
         // check (blocked loads, a non-head rdtsc) stay queued and are
         // retried on the next ticked cycle.
-        let candidates: Vec<Seq> = self.ready.iter().copied().collect();
-        for seq in candidates {
+        self.state.candidates.clear();
+        self.state
+            .candidates
+            .extend_from_slice(self.state.ready.as_slice());
+        for i in 0..self.state.candidates.len() {
             if issued >= self.config.issue_width {
                 break;
             }
-            let pos = self.rob_pos(seq).expect("ready entries are in the ROB");
-            let inst = self.rob[pos].inst;
+            let seq = self.state.candidates[i];
+            let pos = rob_pos(&self.state.rob, seq).expect("ready entries are in the ROB");
+            let inst = self.state.rob[pos].inst;
             let ok = match inst {
                 Inst::Rdtsc { .. } => self.issue_rdtsc(pos),
                 Inst::Load { .. } => self.issue_load(pos),
@@ -602,13 +651,14 @@ impl<'a> Executor<'a> {
             };
             if ok {
                 issued += 1;
-                self.ready.remove(&seq);
+                self.state.ready.remove(seq);
                 self.work_this_cycle += 1;
                 self.sched.issue_slots += 1;
-                let e = &self.rob[self.rob_pos(seq).expect("just issued")];
+                let e = &self.state.rob[rob_pos(&self.state.rob, seq).expect("just issued")];
                 debug_assert_eq!(e.status, Status::Executing);
                 let pc = e.pc;
-                self.completions
+                self.state
+                    .completions
                     .push(Reverse((e.done_at.expect("issued with a latency"), seq)));
                 if self.tracer.is_some() {
                     self.emit(TraceEvent::Issue { seq, pc: pc.0 });
@@ -618,7 +668,7 @@ impl<'a> Executor<'a> {
     }
 
     fn issue_alu(&mut self, idx: usize) -> bool {
-        let e = &mut self.rob[idx];
+        let e = &mut self.state.rob[idx];
         let (result, latency) = match e.inst {
             Inst::Nop => (0, self.config.alu_latency),
             Inst::Li { imm, .. } => (imm, self.config.alu_latency),
@@ -647,7 +697,7 @@ impl<'a> Executor<'a> {
     }
 
     fn issue_branch(&mut self, idx: usize) -> bool {
-        let e = &mut self.rob[idx];
+        let e = &mut self.state.rob[idx];
         let Inst::Branch { cond, target, .. } = e.inst else {
             unreachable!()
         };
@@ -667,7 +717,7 @@ impl<'a> Executor<'a> {
         if idx != 0 {
             return false;
         }
-        let e = &mut self.rob[idx];
+        let e = &mut self.state.rob[idx];
         e.result = Some(self.cycle);
         e.status = Status::Executing;
         e.done_at = Some(self.cycle + 1);
@@ -675,7 +725,7 @@ impl<'a> Executor<'a> {
     }
 
     fn issue_store(&mut self, idx: usize) -> bool {
-        let e = &mut self.rob[idx];
+        let e = &mut self.state.rob[idx];
         let Inst::Store { offset, .. } = e.inst else {
             unreachable!()
         };
@@ -684,12 +734,12 @@ impl<'a> Executor<'a> {
         e.result = Some(e.operands[1].expect("ready operand"));
         e.status = Status::Executing;
         e.done_at = Some(self.cycle + self.config.alu_latency);
-        self.unissued_stores.remove(&self.rob[idx].seq);
+        self.state.unissued_stores.remove(self.state.rob[idx].seq);
         true
     }
 
     fn issue_flush(&mut self, idx: usize) -> bool {
-        let e = &mut self.rob[idx];
+        let e = &mut self.state.rob[idx];
         let Inst::Flush { offset, .. } = e.inst else {
             unreachable!()
         };
@@ -702,32 +752,31 @@ impl<'a> Executor<'a> {
     }
 
     fn issue_load(&mut self, idx: usize) -> bool {
-        let seq = self.rob[idx].seq;
+        let seq = self.state.rob[idx].seq;
         // Memory ordering: wait until every older store knows its address
         // and no older flush is still in flight (flushes order younger
         // loads so that attack code like `flush(x); r = x` reliably
-        // misses, as the PoCs require). Both conditions are range queries
-        // on the order indices — no ROB scan on the retry path.
-        if self.unissued_stores.range(..seq).next().is_some()
-            || self.flushes_in_rob.range(..seq).next().is_some()
-        {
+        // misses, as the PoCs require). Both conditions read the oldest
+        // member of a seq set — no ROB scan on the retry path.
+        if self.state.unissued_stores.any_below(seq) || self.state.flushes_in_rob.any_below(seq) {
             return false;
         }
-        let Inst::Load { offset, .. } = self.rob[idx].inst else {
+        let Inst::Load { offset, .. } = self.state.rob[idx].inst else {
             unreachable!()
         };
-        let base = self.rob[idx].operands[0].expect("ready operand");
+        let base = self.state.rob[idx].operands[0].expect("ready operand");
         let addr = base.wrapping_add(offset as u64);
-        let pc = self.rob[idx].pc;
+        let pc = self.state.rob[idx].pc;
         // Store-to-load forwarding from the youngest older matching store.
         let forwarded = self
+            .state
             .rob
             .iter()
             .take(idx)
             .rev()
             .find(|e| matches!(e.inst, Inst::Store { .. }) && e.addr == Some(addr))
             .map(|e| e.result.expect("issued store has its value"));
-        let e = &mut self.rob[idx];
+        let e = &mut self.state.rob[idx];
         e.addr = Some(addr);
         if let Some(value) = forwarded {
             e.result = Some(value);
@@ -739,14 +788,13 @@ impl<'a> Executor<'a> {
         }
         // D-type shadow: an older load with an unverified prediction makes
         // this access speculative; suppress its cache fill until commit.
-        let shadowed =
-            self.config.delay_side_effects && self.unverified.range(..seq).next().is_some();
+        let shadowed = self.config.delay_side_effects && self.state.unverified.any_below(seq);
         let outcome = if shadowed {
             self.mem.read_no_fill(addr)
         } else {
             self.mem.read(addr)
         };
-        let e = &mut self.rob[idx];
+        let e = &mut self.state.rob[idx];
         e.deferred_fill = shadowed;
         e.status = Status::Executing;
         if !outcome.is_l1_miss() {
@@ -761,7 +809,7 @@ impl<'a> Executor<'a> {
         let ctx = self.ctx_for(pc, addr);
         let l1_hit_latency = self.mem.config().l1.hit_latency;
         let prediction = self.vp.lookup(&ctx);
-        let e = &mut self.rob[idx];
+        let e = &mut self.state.rob[idx];
         match prediction {
             Some(p) => {
                 // Forward the speculative value at hit-like latency while
@@ -775,8 +823,8 @@ impl<'a> Executor<'a> {
                     actual: outcome.value,
                 });
                 self.stats.predicted_loads += 1;
-                self.verifications.push(Reverse((verify_at, seq)));
-                self.unverified.insert(seq);
+                self.state.verifications.push(Reverse((verify_at, seq)));
+                self.state.unverified.insert(seq);
                 if self.tracer.is_some() {
                     self.emit(TraceEvent::Predict {
                         seq,
@@ -791,7 +839,7 @@ impl<'a> Executor<'a> {
                 e.done_at = Some(self.cycle + outcome.latency);
                 e.load_origin = Some(LoadOrigin::Memory);
                 // Train once the data arrives (complete phase).
-                self.pending_train.insert(seq, (ctx, outcome.value));
+                e.pending_train = true;
             }
         }
         true
@@ -806,7 +854,7 @@ impl<'a> Executor<'a> {
             if self.cycle < self.fetch_stall_until {
                 return Ok(());
             }
-            if self.rob.len() >= self.config.rob_entries {
+            if self.state.rob.len() >= self.config.rob_entries {
                 return Ok(());
             }
             // Fetch stalls behind a fetched halt, and — without branch
@@ -821,7 +869,7 @@ impl<'a> Executor<'a> {
                     pc: self.fetch_pc.0,
                 });
             };
-            if matches!(inst, Inst::Fence) && !self.rob.is_empty() {
+            if matches!(inst, Inst::Fence) && !self.state.rob.is_empty() {
                 return Ok(());
             }
             let mut e = DynInst::new(self.next_seq, self.fetch_pc, inst);
@@ -832,13 +880,14 @@ impl<'a> Executor<'a> {
                 match self.rat[r.index()] {
                     None => e.operands[i] = Some(self.regs.read(r)),
                     Some(tag) => {
-                        let pos = self.rob_pos(tag).expect("RAT points at a live producer");
-                        let producer = &self.rob[pos];
+                        let pos =
+                            rob_pos(&self.state.rob, tag).expect("RAT points at a live producer");
+                        let producer = &self.state.rob[pos];
                         if producer.result_available(self.cycle) {
                             e.operands[i] = producer.result;
                         } else {
                             e.src_tags[i] = Some(tag);
-                            self.consumers.entry(tag).or_default().push(e.seq);
+                            self.state.consumers.push((tag, e.seq));
                         }
                     }
                 }
@@ -884,15 +933,15 @@ impl<'a> Executor<'a> {
             }
             match inst {
                 Inst::Store { .. } => {
-                    self.unissued_stores.insert(e.seq);
+                    self.state.unissued_stores.insert(e.seq);
                 }
                 Inst::Flush { .. } => {
-                    self.flushes_in_rob.insert(e.seq);
+                    self.state.flushes_in_rob.insert(e.seq);
                 }
                 _ => {}
             }
             if e.status == Status::Waiting && e.operands_ready() {
-                self.ready.insert(e.seq);
+                self.state.ready.insert(e.seq);
             }
             self.work_this_cycle += 1;
             self.sched.dispatched += 1;
@@ -902,7 +951,7 @@ impl<'a> Executor<'a> {
                     pc: e.pc.0,
                 });
             }
-            self.rob.push_back(e);
+            self.state.rob.push_back(e);
         }
         Ok(())
     }
@@ -916,11 +965,13 @@ impl<'a> Executor<'a> {
             if self.cycle < self.commit_stall_until {
                 return;
             }
-            let Some(head) = self.rob.front() else { return };
+            let Some(head) = self.state.rob.front() else {
+                return;
+            };
             if !head.committable(self.cycle) {
                 return;
             }
-            let e = self.rob.pop_front().expect("head exists");
+            let e = self.state.rob.pop_front().expect("head exists");
             self.work_this_cycle += 1;
             self.stats.committed += 1;
             if self.tracer.is_some() {
@@ -946,7 +997,7 @@ impl<'a> Executor<'a> {
                     let addr = e.addr.expect("committed flush has an address");
                     let cost = self.mem.flush_line(addr);
                     self.commit_stall_until = self.cycle + cost;
-                    self.flushes_in_rob.remove(&e.seq);
+                    self.state.flushes_in_rob.remove(e.seq);
                 }
                 Inst::Rdtsc { .. } => {
                     self.rdtsc_values.push(e.result.expect("rdtsc result"));
@@ -992,34 +1043,4 @@ impl<'a> Executor<'a> {
             }
         }
     }
-}
-
-/// Run `program` to completion on `mem` and `vp` under `ctl`; the
-/// pipeline-side fault injector's stream advances across calls. With a
-/// tracer, component-side tracing is on for this call only: it is
-/// switched off again (dropping partial buffers) on every return path.
-/// [`Machine::run_with`](crate::Machine::run_with) documents the errors.
-pub(crate) fn run_program(
-    config: CoreConfig,
-    program: &Program,
-    pid: u32,
-    mem: &mut MemoryHierarchy,
-    vp: &mut dyn ValuePredictor,
-    chaos: Option<&mut PipeChaos>,
-    ctl: RunCtl<'_>,
-) -> Result<RunResult, RunError> {
-    let RunCtl { cancel, tracer } = ctl;
-    // Shorten the sink's trait-object lifetime to this call's borrows.
-    let tracer = tracer.map(|sink| sink as &mut dyn TraceSink);
-    let traced = tracer.is_some();
-    if traced {
-        mem.set_tracing(true);
-        vp.set_tracing(true);
-    }
-    let result = Executor::new(config, program, pid, mem, vp, chaos, cancel, tracer).run();
-    if traced {
-        mem.set_tracing(false);
-        vp.set_tracing(false);
-    }
-    result
 }

@@ -14,7 +14,7 @@ use vpsim_predictor::{ChaoticPredictor, NoPredictor, ValuePredictor};
 
 use crate::cancel::CancelToken;
 use crate::config::CoreConfig;
-use crate::executor::run_program;
+use crate::executor::{ExecState, Executor};
 use crate::result::{RunError, RunResult};
 
 /// Per-run controls of [`Machine::run_with`]: neither changes what a
@@ -59,6 +59,9 @@ pub struct Machine {
     /// Whether a [`ChaoticPredictor`] wrapper has been installed (guards
     /// against double wrapping on repeated `set_chaos` calls).
     pred_chaos_installed: bool,
+    /// The executor's buffers, lent to each run (which clears them
+    /// first) so warm runs do not allocate them again.
+    exec: ExecState,
 }
 
 impl Machine {
@@ -81,6 +84,7 @@ impl Machine {
             predictor,
             chaos: None,
             pred_chaos_installed: false,
+            exec: ExecState::default(),
         }
     }
 
@@ -144,15 +148,33 @@ impl Machine {
         program: &Program,
         ctl: RunCtl<'_>,
     ) -> Result<RunResult, RunError> {
-        run_program(
+        let RunCtl { cancel, tracer } = ctl;
+        // Shorten the sink's trait-object lifetime to this call's borrows.
+        let tracer = tracer.map(|sink| sink as &mut dyn TraceSink);
+        // Component-side tracing is on for this call only: it is switched
+        // off again (dropping partial buffers) on every return path.
+        let traced = tracer.is_some();
+        if traced {
+            self.mem.set_tracing(true);
+            self.predictor.set_tracing(true);
+        }
+        let result = Executor::new(
             self.core,
             program,
             pid,
             &mut self.mem,
             self.predictor.as_mut(),
+            &mut self.exec,
             self.chaos.as_mut(),
-            ctl,
+            cancel,
+            tracer,
         )
+        .run();
+        if traced {
+            self.mem.set_tracing(false);
+            self.predictor.set_tracing(false);
+        }
+        result
     }
 
     /// The core configuration.

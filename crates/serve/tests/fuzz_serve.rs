@@ -263,3 +263,25 @@ fn oversized_inputs_are_capped() {
     let result = must_not_panic("overflow trials", || CampaignSpec::parse(huge_trials));
     assert!(result.is_err(), "u64 overflow must be a parse error");
 }
+
+/// A request body at the daemon's size cap that is one long string
+/// (ASCII, multi-byte scalars and escapes) parses to that string, and
+/// escaping the parsed string rebuilds the document byte for byte.
+#[test]
+fn max_body_string_document_round_trips() {
+    let mut rng = SmallRng::seed_from_u64(0x6a50);
+    let mut value = String::new();
+    let mut doc_len = "{\"name\":\"\"}".len();
+    while doc_len < http::MAX_BODY - 8 {
+        let c = *rng.choose(&['a', 'Z', '7', ' ', 'é', '€', '𝄞', '"', '\\', '\n', '\u{1}']);
+        value.push(c);
+        doc_len += vpsim_json::escaped(c.encode_utf8(&mut [0; 4])).len();
+    }
+    let doc = format!("{{\"name\":\"{}\"}}", vpsim_json::escaped(&value));
+    assert!((http::MAX_BODY - 8..=http::MAX_BODY).contains(&doc.len()));
+    let parsed = vpsim_json::parse(&doc).expect("a capped string document parses");
+    let name = parsed.get("name").and_then(|v| v.as_str());
+    assert_eq!(name, Some(value.as_str()));
+    let rebuilt = format!("{{\"name\":\"{}\"}}", vpsim_json::escaped(name.unwrap()));
+    assert_eq!(rebuilt, doc);
+}
