@@ -42,10 +42,12 @@ rm -rf "$TRACE_TMP"
 
 # CSV-determinism smoke: the per-trial Table III CSVs are a pure
 # function of (trials, seeds) too — one worker and two workers must
-# write byte-identical directories.
+# write byte-identical directories. `--strict` fails either run if its
+# counter store records a failed cell, panic, timeout, torn line or I/O
+# fault.
 CSV_TMP="$(mktemp -d)"
-./target/release/repro --csv "$CSV_TMP/a" --table 3 --trials 40 --jobs 1 > /dev/null
-./target/release/repro --csv "$CSV_TMP/b" --table 3 --trials 40 --jobs 2 > /dev/null
+./target/release/repro --csv "$CSV_TMP/a" --table 3 --trials 40 --jobs 1 --strict > /dev/null
+./target/release/repro --csv "$CSV_TMP/b" --table 3 --trials 40 --jobs 2 --strict > /dev/null
 diff -r "$CSV_TMP/a" "$CSV_TMP/b"
 rm -rf "$CSV_TMP"
 
@@ -110,7 +112,7 @@ printf '%s' '{"name":"ci-doomed","trials":50000,"seed":7,"cells":[{"category":"t
 ./target/release/repro query --addr "$SERVE_ADDR" | grep -q 'ci-doomed'
 ./target/release/repro cancel --addr "$SERVE_ADDR" --id 2
 ./target/release/repro query --addr "$SERVE_ADDR" --id 2 | grep -q '"state":"cancelled"'
-./target/release/repro metrics --addr "$SERVE_ADDR" | grep -q 'vpsim_jobs_done_total'
+./target/release/repro metrics --addr "$SERVE_ADDR" | grep -q 'vpsim_jobs_done_total{campaign="1"} 20'
 ./target/release/repro shutdown --addr "$SERVE_ADDR"
 wait "$SERVE_PID"
 trap - EXIT

@@ -41,10 +41,10 @@
 //! already recorded there.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use vpsim_bench::reports;
-use vpsim_harness::{Exec, RunHealth};
+use vpsim_harness::{CampaignMetrics, Exec};
+use vpsim_obs::Registry;
 
 #[derive(Debug)]
 struct Args {
@@ -320,10 +320,9 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let health = Arc::new(RunHealth::default());
-    if args.strict {
-        args.exec.health = Some(Arc::clone(&health));
-    }
+    // One counter store for every campaign of this invocation.
+    let store = CampaignMetrics::register(&Registry::new(), "repro");
+    args.exec.metrics = Some(store.clone());
     let args = args;
     if let Some(dir) = &args.csv_dir {
         match trap(|| write_csvs(dir, args.trials, &args.exec)) {
@@ -395,8 +394,18 @@ fn main() -> ExitCode {
             }
         }
     }
-    if args.strict && !health.is_clean() {
-        eprintln!("strict: run degraded ({})", health.summary());
+    if args.strict && !store.is_clean() {
+        let t = store.totals();
+        eprintln!(
+            "strict: run degraded ({} failed cell(s), {} panic(s), {} deadline failure(s), \
+             {} torn line(s), {} I/O fault(s), {} worker crash(es) contained)",
+            t.failed_cells,
+            t.panics,
+            t.deadline_failed,
+            t.torn_lines,
+            t.io_faults,
+            t.worker_crashes
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -51,10 +51,9 @@ fn verdict(p: f64) -> &'static str {
 
 /// Append a one-line supervision note when the campaign ran degraded:
 /// cancellations, deadline failures, torn manifest lines recovered on
-/// resume, sink I/O faults degraded around, worker-process crashes
-/// contained by the fleet supervisor, or requests shed under daemon
-/// overload. Clean runs add nothing, so golden report texts are
-/// unchanged.
+/// resume, sink I/O faults degraded around, or worker-process crashes
+/// contained by the fleet supervisor. Clean runs add nothing, so golden
+/// report texts are unchanged.
 fn supervision_note(outcome: &CampaignOutcome, out: &mut String) {
     let s = &outcome.stats;
     let degraded = s.cancelled
@@ -63,8 +62,7 @@ fn supervision_note(outcome: &CampaignOutcome, out: &mut String) {
         + s.io_faults
         + s.panics
         + s.worker_crashes
-        + s.worker_respawns
-        + s.shed_requests;
+        + s.worker_respawns;
     if degraded > 0 {
         let _ = writeln!(out, "  [supervision] {s}");
     }

@@ -291,7 +291,7 @@ fn adversarial_job_record_lines_never_panic_or_false_accept() {
     ];
     for i in 0..ITERATIONS {
         let line = fuzz_record(&mut rng).to_line();
-        let (mutated, must_reject) = match rng.gen_range(0..5u32) {
+        let (mutated, must_reject) = match rng.gen_range(0..7u32) {
             // Bad hex in an observation field.
             0 => (line.replacen("\"m_obs\":\"", "\"m_obs\":\"zz", 1), true),
             // A numeric field replaced by garbage.
@@ -302,6 +302,16 @@ fn adversarial_job_record_lines_never_panic_or_false_accept() {
                     true,
                 )
             }
+            // A signed number: Rust's parser would take `+7`, JSON not.
+            5 => {
+                let key = *rng.choose(&["cell", "trial", "m_cyc", "wall_ns"]);
+                (
+                    line.replacen(&format!("\"{key}\":"), &format!("\"{key}\":+"), 1),
+                    true,
+                )
+            }
+            // A signed hex observation.
+            6 => (line.replacen("\"u_obs\":\"", "\"u_obs\":\"+", 1), true),
             // A field removed entirely.
             2 => {
                 let key = *rng.choose(&keys);

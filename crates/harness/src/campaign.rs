@@ -2,20 +2,21 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vpsec::attacks::AttackCategory;
 use vpsec::experiment::{
     CellPlan, Channel, Evaluation, ExperimentConfig, PairOutcome, PredictorKind,
 };
+use vpsim_obs::Registry;
 use vpsim_pipeline::SchedStats;
 
 use crate::exec::{Exec, WorkerBackend};
 use crate::io::{RealIo, SinkIo};
 use crate::ledger::{Batch, JobFailure};
 use crate::sink::{JobRecord, Manifest};
+use crate::store::{CampaignMetrics, CampaignStats, Count, Phase};
 use crate::{fleet, pool};
 
 /// One named evaluation cell of a campaign.
@@ -136,187 +137,6 @@ impl CellResult {
             CellOutcome::Evaluated(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-/// Aggregated observability counters for one campaign run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CampaignStats {
-    /// Jobs in the campaign (sum of trials over supported cells).
-    pub jobs_total: usize,
-    /// Jobs executed by this run.
-    pub jobs_run: usize,
-    /// Jobs skipped because the resume manifest already had them.
-    pub jobs_resumed: usize,
-    /// Quarantine retries performed (wall-budget overruns).
-    pub retries: usize,
-    /// Jobs that exceeded the wall-time budget.
-    pub quarantined_wall: usize,
-    /// Jobs that exceeded the simulated-cycle budget.
-    pub quarantined_cycles: usize,
-    /// Jobs that panicked.
-    pub panics: usize,
-    /// Supervisor cancellations delivered (hard-deadline or campaign
-    /// budget trips observed by a running attempt).
-    pub cancelled: usize,
-    /// Cancelled attempts re-queued with exponential backoff.
-    pub backoff_retries: usize,
-    /// Jobs that permanently failed as timed out (cancelled on their
-    /// final attempt or drained after the campaign deadline).
-    pub deadline_failed: usize,
-    /// Torn manifest lines dropped while resuming (interrupted writes;
-    /// the affected jobs re-ran).
-    pub torn_lines: usize,
-    /// Sink I/O failures observed and degraded around (spilled or
-    /// append-only fallback) instead of aborting.
-    pub io_faults: usize,
-    /// Worker processes that died unexpectedly (crash, abort, kill,
-    /// missed heartbeats). Always zero on the thread backend.
-    pub worker_crashes: usize,
-    /// Worker processes respawned after a death.
-    pub worker_respawns: usize,
-    /// Requests the serving plane shed with `503` during this
-    /// campaign's run window (filled in by the daemon; zero for CLI
-    /// runs).
-    pub shed_requests: usize,
-    /// Wall time of this run.
-    pub wall_time: Duration,
-    /// Simulated cycles over all completed jobs (resumed included).
-    pub sim_cycles: u64,
-    /// Scheduler work counters summed over all completed jobs (resumed
-    /// included — the manifest rows carry them).
-    pub sched: SchedStats,
-}
-
-impl fmt::Display for CampaignStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} jobs ({} run, {} resumed) in {:.2?}; {:.1} Mcycles simulated",
-            self.jobs_total,
-            self.jobs_run,
-            self.jobs_resumed,
-            self.wall_time,
-            self.sim_cycles as f64 / 1e6
-        )?;
-        let total = self.sched.ticks + self.sched.skipped_cycles;
-        if total > 0 {
-            write!(
-                f,
-                " ({:.1}% cycles skipped)",
-                self.sched.skipped_cycles as f64 / total as f64 * 100.0
-            )?;
-        }
-        if self.retries + self.quarantined_wall + self.quarantined_cycles + self.panics > 0 {
-            write!(
-                f,
-                "; {} wall-quarantined ({} retries), {} cycle-quarantined, {} panicked",
-                self.quarantined_wall, self.retries, self.quarantined_cycles, self.panics
-            )?;
-        }
-        if self.cancelled + self.backoff_retries + self.deadline_failed > 0 {
-            write!(
-                f,
-                "; {} cancelled ({} backoff-retried, {} deadline-failed)",
-                self.cancelled, self.backoff_retries, self.deadline_failed
-            )?;
-        }
-        if self.torn_lines + self.io_faults > 0 {
-            write!(
-                f,
-                "; {} torn line(s) recovered, {} I/O fault(s) degraded",
-                self.torn_lines, self.io_faults
-            )?;
-        }
-        if self.worker_crashes + self.worker_respawns > 0 {
-            write!(
-                f,
-                "; {} worker crash(es) contained, {} respawn(s)",
-                self.worker_crashes, self.worker_respawns
-            )?;
-        }
-        if self.shed_requests > 0 {
-            write!(f, "; {} request(s) shed under overload", self.shed_requests)?;
-        }
-        Ok(())
-    }
-}
-
-/// A shared, cross-campaign health ledger for `--strict` runs: every
-/// campaign executed with [`Exec::health`](crate::Exec) set folds its
-/// anomaly counters in here, and the report bins exit nonzero when the
-/// ledger is dirty.
-///
-/// "Dirty" means the run's *scientific output* is degraded or partial:
-/// a failed (quarantined) cell, a panic, a timeout, or manifest state
-/// recovered from torn lines / spilled past I/O faults. Soft wall
-/// quarantines that still produced a result are not counted — they are
-/// an operational detail, not a result defect.
-#[derive(Debug, Default)]
-pub struct RunHealth {
-    /// Cells that failed permanently (panicked or timed out).
-    pub failed_cells: AtomicU64,
-    /// Jobs that panicked.
-    pub panics: AtomicU64,
-    /// Jobs that permanently timed out.
-    pub deadline_failed: AtomicU64,
-    /// Torn manifest lines recovered on resume.
-    pub torn_lines: AtomicU64,
-    /// Sink I/O faults degraded around.
-    pub io_faults: AtomicU64,
-    /// Worker processes that died and were contained by the fleet
-    /// supervisor. **Not** part of [`RunHealth::is_clean`]: a relocated
-    /// job recomputes the identical result, so a contained crash is an
-    /// operational event, not a scientific defect — a cell actually
-    /// lost to crashes shows up in `failed_cells` (poisoned).
-    pub worker_crashes: AtomicU64,
-    /// Worker processes respawned (same operational-only status).
-    pub worker_respawns: AtomicU64,
-}
-
-impl RunHealth {
-    /// Fold one campaign's outcome into the ledger.
-    pub fn absorb(&self, stats: &CampaignStats, failed_cells: u64) {
-        self.failed_cells.fetch_add(failed_cells, Ordering::Relaxed);
-        self.panics
-            .fetch_add(stats.panics as u64, Ordering::Relaxed);
-        self.deadline_failed
-            .fetch_add(stats.deadline_failed as u64, Ordering::Relaxed);
-        self.torn_lines
-            .fetch_add(stats.torn_lines as u64, Ordering::Relaxed);
-        self.io_faults
-            .fetch_add(stats.io_faults as u64, Ordering::Relaxed);
-        self.worker_crashes
-            .fetch_add(stats.worker_crashes as u64, Ordering::Relaxed);
-        self.worker_respawns
-            .fetch_add(stats.worker_respawns as u64, Ordering::Relaxed);
-    }
-
-    /// Whether every absorbed campaign ran with a clean bill of health.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.failed_cells.load(Ordering::Relaxed) == 0
-            && self.panics.load(Ordering::Relaxed) == 0
-            && self.deadline_failed.load(Ordering::Relaxed) == 0
-            && self.torn_lines.load(Ordering::Relaxed) == 0
-            && self.io_faults.load(Ordering::Relaxed) == 0
-    }
-
-    /// A one-line human summary of the ledger.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!(
-            "{} failed cell(s), {} panic(s), {} deadline failure(s), \
-             {} torn line(s), {} I/O fault(s), {} worker crash(es) contained \
-             ({} respawn(s))",
-            self.failed_cells.load(Ordering::Relaxed),
-            self.panics.load(Ordering::Relaxed),
-            self.deadline_failed.load(Ordering::Relaxed),
-            self.torn_lines.load(Ordering::Relaxed),
-            self.io_faults.load(Ordering::Relaxed),
-            self.worker_crashes.load(Ordering::Relaxed),
-            self.worker_respawns.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -566,7 +386,9 @@ impl Campaign {
         hash
     }
 
-    /// Run every job and reduce each cell into its [`Evaluation`].
+    /// Run every job and reduce each cell into its [`Evaluation`],
+    /// counting into [`Exec::metrics`] (or a private store). The
+    /// outcome's stats are what this run added to the store.
     ///
     /// Results are bitwise-identical for every [`Exec::jobs`] value and
     /// across resumed runs.
@@ -580,6 +402,11 @@ impl Campaign {
         if matches!(exec.backend, WorkerBackend::Process(_)) && self.spec_json.is_none() {
             return Err(HarnessError::ProcessBackendNeedsSpec);
         }
+        let metrics = exec
+            .metrics
+            .clone()
+            .unwrap_or_else(|| CampaignMetrics::register(&Registry::new(), &self.name));
+        let before = metrics.read();
         let fingerprint = self.fingerprint();
         let jobs_total = self.num_jobs();
         let manifest = match &exec.resume {
@@ -594,6 +421,7 @@ impl Campaign {
                     fingerprint,
                     jobs_total,
                     io,
+                    &metrics,
                 )?)
             }
             None => None,
@@ -636,9 +464,7 @@ impl Campaign {
             if let Some(observer) = &exec.observer {
                 observer.job_done(rec, false);
             }
-            if let Some(m) = &exec.metrics {
-                m.sink_seconds.observe(sink_start.elapsed().as_secs_f64());
-            }
+            metrics.observe(Phase::Sink, sink_start.elapsed());
         };
         let batch = Batch {
             campaign: &self.name,
@@ -646,8 +472,9 @@ impl Campaign {
             pending: &pending,
             total_jobs: jobs_total,
             resumed: resumed.len(),
+            metrics: metrics.clone(),
         };
-        let (results, run_stats) = match &exec.backend {
+        let results = match &exec.backend {
             WorkerBackend::Thread => pool::run_jobs(&batch, exec, &on_done),
             WorkerBackend::Process(cfg) => fleet::run_jobs(
                 &batch,
@@ -703,7 +530,10 @@ impl Campaign {
                 };
             }
             let outcome = match error {
-                Some(e) => CellOutcome::Failed(e),
+                Some(e) => {
+                    metrics.inc(Count::CellsFailed);
+                    CellOutcome::Failed(e)
+                }
                 None => {
                     sim_cycles += pairs.iter().map(PairOutcome::total_cycles).sum::<u64>();
                     for pair in &pairs {
@@ -718,21 +548,14 @@ impl Campaign {
             });
         }
 
-        let failed_cells = cells_out
-            .iter()
-            .filter(|c| matches!(c.outcome, CellOutcome::Failed(_)))
-            .count() as u64;
         let stats = CampaignStats {
-            torn_lines: manifest.as_ref().map_or(0, Manifest::torn_lines),
-            io_faults: manifest.as_ref().map_or(0, Manifest::io_faults),
+            jobs_total,
+            jobs_resumed: resumed.len(),
             wall_time: started.elapsed(),
             sim_cycles,
             sched,
-            ..run_stats
+            ..metrics.stats_since(&before)
         };
-        if let Some(health) = &exec.health {
-            health.absorb(&stats, failed_cells);
-        }
         if exec.progress {
             eprintln!("[{}] done: {stats}", self.name);
         }

@@ -4,13 +4,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vpsim_obs::{Counter, Histo, Registry};
 use vpsim_pipeline::CancelToken;
 
-use crate::campaign::RunHealth;
 use crate::fleet::FleetConfig;
 use crate::io::SinkIo;
 use crate::sink::JobRecord;
+use crate::store::CampaignMetrics;
 
 /// Which execution substrate runs a campaign's jobs.
 ///
@@ -37,124 +36,6 @@ pub enum WorkerBackend {
     Thread,
     /// A supervised fleet of worker subprocesses.
     Process(FleetConfig),
-}
-
-/// Live metric handles for one campaign run, registered in a shared
-/// [`Registry`] under a `campaign="<name>"` label so one daemon can
-/// expose many concurrent campaigns side by side.
-///
-/// The handles are updated by the job ledger as jobs finish; they are
-/// telemetry only and never feed back into results. Wall-clock phases
-/// are observed per job attempt: time spent waiting for work
-/// (`queue_wait_seconds`), simulating (`run_seconds`), persisting and
-/// streaming the record (`sink_seconds`), and held back in retry
-/// backoff (`backoff_seconds`).
-#[derive(Debug, Clone)]
-pub struct CampaignMetrics {
-    /// Jobs finished by this run (resumed jobs excluded).
-    pub jobs_done: Counter,
-    /// Jobs permanently failed (panic or deadline).
-    pub jobs_failed: Counter,
-    /// Retry attempts (wall-budget quarantine and backoff retries).
-    pub retries: Counter,
-    /// Simulated cycles over completed jobs.
-    pub sim_cycles: Counter,
-    /// Scheduler cycles actually ticked across completed jobs.
-    pub sched_ticks: Counter,
-    /// Quiescent cycles skipped by the next-event clock.
-    pub sched_skipped: Counter,
-    /// Worker idle time waiting for an eligible job, per dequeue.
-    pub queue_wait_seconds: Histo,
-    /// Simulation wall time per attempt.
-    pub run_seconds: Histo,
-    /// Manifest-append + observer-streaming time per completed job.
-    pub sink_seconds: Histo,
-    /// Backoff delay applied before re-queueing a cancelled attempt.
-    pub backoff_seconds: Histo,
-    /// Worker processes that died unexpectedly (process backend).
-    pub worker_crashes: Counter,
-    /// Worker processes respawned after a death (process backend).
-    pub worker_respawns: Counter,
-}
-
-impl CampaignMetrics {
-    /// Register the campaign's metric families in `registry`, labelled
-    /// `campaign="<name>"`. Re-registering the same campaign name
-    /// re-attaches to the same underlying series.
-    #[must_use]
-    pub fn register(registry: &Registry, campaign: &str) -> CampaignMetrics {
-        let l: &[(&str, &str)] = &[("campaign", campaign)];
-        CampaignMetrics {
-            jobs_done: registry.counter("vpsim_jobs_done_total", "jobs finished by this run", l),
-            jobs_failed: registry.counter(
-                "vpsim_jobs_failed_total",
-                "jobs permanently failed (panic or deadline)",
-                l,
-            ),
-            retries: registry.counter(
-                "vpsim_job_retries_total",
-                "job retry attempts (quarantine or backoff)",
-                l,
-            ),
-            sim_cycles: registry.counter(
-                "vpsim_sim_cycles_total",
-                "simulated cycles over completed jobs",
-                l,
-            ),
-            sched_ticks: registry.counter(
-                "vpsim_sched_ticks_total",
-                "scheduler cycles actually ticked",
-                l,
-            ),
-            sched_skipped: registry.counter(
-                "vpsim_sched_skipped_cycles_total",
-                "quiescent cycles skipped by the next-event clock",
-                l,
-            ),
-            queue_wait_seconds: registry.histogram(
-                "vpsim_phase_queue_wait_seconds",
-                "worker idle time waiting for an eligible job",
-                l,
-                0.0,
-                1.0,
-                20,
-            ),
-            run_seconds: registry.histogram(
-                "vpsim_phase_run_seconds",
-                "simulation wall time per attempt",
-                l,
-                0.0,
-                10.0,
-                20,
-            ),
-            sink_seconds: registry.histogram(
-                "vpsim_phase_sink_seconds",
-                "record persistence and streaming time per job",
-                l,
-                0.0,
-                0.1,
-                20,
-            ),
-            backoff_seconds: registry.histogram(
-                "vpsim_phase_backoff_seconds",
-                "retry backoff delay per cancelled attempt",
-                l,
-                0.0,
-                5.0,
-                20,
-            ),
-            worker_crashes: registry.counter(
-                "vpsim_worker_crashes_total",
-                "worker processes that died unexpectedly",
-                l,
-            ),
-            worker_respawns: registry.counter(
-                "vpsim_worker_respawns_total",
-                "worker processes respawned after a death",
-                l,
-            ),
-        }
-    }
 }
 
 /// Observer of per-job completions, for live result streaming.
@@ -233,11 +114,6 @@ pub struct Exec {
     /// real filesystem; the torture suite injects a
     /// [`FaultyIo`](crate::FaultyIo) here.
     pub sink_io: Option<Arc<dyn SinkIo>>,
-    /// When set, the campaign folds its end-of-run health counters
-    /// (quarantines, panics, timeouts, torn lines, I/O faults) into
-    /// this shared ledger — the `--strict` flag of the report bins
-    /// checks it after running every table.
-    pub health: Option<Arc<RunHealth>>,
     /// External cancellation: when the token trips, the supervisor
     /// cancels every in-flight job and drains the remaining queue as
     /// timed-out failures — the same graceful teardown as
@@ -247,10 +123,14 @@ pub struct Exec {
     /// When set, every job completion is reported to this observer as
     /// it happens — the serving plane streams results from here.
     pub observer: Option<Arc<dyn JobObserver>>,
-    /// When set, the job ledger updates these live metric handles
-    /// (jobs done, sim cycles, scheduler counters, wall-clock phase
-    /// histograms) as jobs finish — the daemon's `/metrics` endpoint
-    /// scrapes the registry they live in.
+    /// The counter store the run counts into: jobs, retries, failures,
+    /// torn lines, I/O faults, worker crashes, cycles and the wall-clock
+    /// phase histograms. The daemon passes one per campaign, labelled
+    /// with its id, and `/metrics` renders the registry it lives in;
+    /// `repro` passes one for all its campaigns and `--strict` reads
+    /// [`CampaignMetrics::is_clean`] from it. `None` counts into a
+    /// private store. Either way the outcome's stats are what the run
+    /// added to the store.
     pub metrics: Option<CampaignMetrics>,
     /// The execution substrate: the in-process thread pool (default) or
     /// a supervised, crash-contained subprocess fleet.
@@ -270,7 +150,6 @@ impl Default for Exec {
             campaign_deadline: None,
             retry_backoff: Duration::from_millis(25),
             sink_io: None,
-            health: None,
             cancel: None,
             observer: None,
             metrics: None,
@@ -329,31 +208,10 @@ mod tests {
         assert!(e.job_deadline.is_none());
         assert!(e.campaign_deadline.is_none());
         assert!(e.sink_io.is_none());
-        assert!(e.health.is_none());
         assert!(e.cancel.is_none());
         assert!(e.observer.is_none());
         assert!(e.metrics.is_none());
         assert!(matches!(e.backend, WorkerBackend::Thread));
-    }
-
-    #[test]
-    fn campaign_metrics_label_every_family_with_the_campaign() {
-        let registry = Registry::new();
-        let m = CampaignMetrics::register(&registry, "table3");
-        m.jobs_done.inc();
-        m.sim_cycles.add(1_000);
-        m.run_seconds.observe(0.5);
-        let snap = registry.snapshot();
-        // Every family carries the campaign label, so a per-campaign
-        // filter keeps everything and a foreign filter keeps nothing.
-        assert_eq!(
-            snap.filter_label("campaign", "table3").families.len(),
-            snap.families.len()
-        );
-        assert!(snap.filter_label("campaign", "other").families.is_empty());
-        // Re-registering re-attaches to the same counters.
-        let m2 = CampaignMetrics::register(&registry, "table3");
-        assert_eq!(m2.jobs_done.get(), 1);
     }
 
     #[test]

@@ -26,7 +26,6 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::campaign::CampaignStats;
 use crate::exec::Exec;
 use crate::ledger::{Batch, Job, JobResult, Ledger, OnDone, Outcome};
 use crate::pool::{run_lanes, Lane};
@@ -386,7 +385,7 @@ pub(crate) fn run_jobs(
     cfg: &FleetConfig,
     spec_json: &str,
     on_done: &OnDone<'_>,
-) -> (Vec<Option<JobResult>>, CampaignStats) {
+) -> Vec<Option<JobResult>> {
     let workers = cfg.effective_workers(batch.pending.len());
     run_lanes(
         batch,

@@ -36,9 +36,9 @@ use std::time::{Duration, Instant};
 use vpsec::experiment::{CellPlan, PairOutcome};
 use vpsim_pipeline::{CancelToken, RunCtl};
 
-use crate::campaign::CampaignStats;
 use crate::exec::Exec;
 use crate::sink::JobRecord;
+use crate::store::{CampaignMetrics, CampaignStats, Count, Counts, Phase};
 
 /// How often a supervisor polls [`Exec::cancel`], which has no wake-up
 /// of its own.
@@ -48,14 +48,15 @@ const CANCEL_POLL: Duration = Duration::from_millis(50);
 const REPORT_EVERY: Duration = Duration::from_secs(1);
 
 /// The work a single run executes: the campaign's cell plans, the
-/// still-pending jobs as `(cell, trial)`, and the job counts the
-/// progress line reports.
+/// still-pending jobs as `(cell, trial)`, the job counts the progress
+/// line reports, and the run's counter store.
 pub(crate) struct Batch<'a> {
     pub campaign: &'a str,
     pub plans: &'a [Option<CellPlan>],
     pub pending: &'a [(usize, usize)],
     pub total_jobs: usize,
     pub resumed: usize,
+    pub metrics: CampaignMetrics,
 }
 
 /// Why a job permanently failed.
@@ -160,8 +161,11 @@ pub(crate) struct Ledger<'a> {
     outstanding: usize,
     expired: bool,
     crashes: HashMap<(usize, usize), u32>,
-    /// Run counters; `sim_cycles` and `sched` count this run's jobs only.
-    stats: CampaignStats,
+    /// The run's counter store, and its reading when the ledger started.
+    metrics: CampaignMetrics,
+    before: Counts,
+    total_jobs: usize,
+    resumed: usize,
     started: Instant,
     last_report: Instant,
 }
@@ -199,11 +203,10 @@ impl<'a> Ledger<'a> {
             outstanding: batch.pending.len(),
             expired: false,
             crashes: HashMap::new(),
-            stats: CampaignStats {
-                jobs_total: batch.total_jobs,
-                jobs_resumed: batch.resumed,
-                ..CampaignStats::default()
-            },
+            metrics: batch.metrics.clone(),
+            before: batch.metrics.read(),
+            total_jobs: batch.total_jobs,
+            resumed: batch.resumed,
             started: now,
             last_report: now,
         };
@@ -268,17 +271,12 @@ impl<'a> Ledger<'a> {
         match outcome {
             Outcome::Done { pair, wall_nanos } => {
                 let wall = Duration::from_nanos(wall_nanos);
-                if let Some(m) = &self.exec.metrics {
-                    m.run_seconds.observe(wall.as_secs_f64());
-                }
+                self.metrics.observe(Phase::Run, wall);
                 if wall > self.exec.job_wall_budget {
-                    self.stats.quarantined_wall += 1;
+                    self.metrics.inc(Count::WallQuarantined);
                     // Past expiry nothing re-enters the queue: keep the result.
                     if job.attempt < self.exec.max_retries && !self.expired {
-                        self.stats.retries += 1;
-                        if let Some(m) = &self.exec.metrics {
-                            m.retries.inc();
-                        }
+                        self.metrics.inc(Count::WallRetries);
                         self.queue.push_back(Queued {
                             attempt: job.attempt + 1,
                             not_before: None,
@@ -289,18 +287,13 @@ impl<'a> Ledger<'a> {
                 }
                 let cycles = pair.total_cycles();
                 if cycles > self.exec.cycle_budget {
-                    self.stats.quarantined_cycles += 1;
+                    self.metrics.inc(Count::CycleQuarantined);
                 }
                 let sched = pair.sched();
-                self.stats.jobs_run += 1;
-                self.stats.sim_cycles += cycles;
-                self.stats.sched.merge(&sched);
-                if let Some(m) = &self.exec.metrics {
-                    m.jobs_done.inc();
-                    m.sim_cycles.add(cycles);
-                    m.sched_ticks.add(sched.ticks);
-                    m.sched_skipped.add(sched.skipped_cycles);
-                }
+                self.metrics.inc(Count::JobsRun);
+                self.metrics.add(Count::SimCycles, cycles);
+                self.metrics.add(Count::SchedTicks, sched.ticks);
+                self.metrics.add(Count::SchedSkipped, sched.skipped_cycles);
                 let rec = JobRecord {
                     cell: job.cell,
                     trial: job.trial,
@@ -312,17 +305,14 @@ impl<'a> Ledger<'a> {
                 return Some(rec);
             }
             Outcome::Cancelled => {
-                self.stats.cancelled += 1;
+                self.metrics.inc(Count::Cancelled);
                 if self.expired || job.attempt >= self.exec.max_retries {
                     let attempts = job.attempt + 1;
                     self.fail(job.index, JobFailure::Deadline { attempts });
                 } else {
-                    self.stats.backoff_retries += 1;
                     let backoff = self.exec.backoff_for_attempt(job.attempt);
-                    if let Some(m) = &self.exec.metrics {
-                        m.retries.inc();
-                        m.backoff_seconds.observe(backoff.as_secs_f64());
-                    }
+                    self.metrics.inc(Count::BackoffRetries);
+                    self.metrics.observe(Phase::Backoff, backoff);
                     self.queue.push_back(Queued {
                         attempt: job.attempt + 1,
                         not_before: Some(now + backoff),
@@ -331,7 +321,7 @@ impl<'a> Ledger<'a> {
                 }
             }
             Outcome::Panicked(message) => {
-                self.stats.panics += 1;
+                self.metrics.inc(Count::Panics);
                 self.fail(job.index, JobFailure::Panic(message));
             }
         }
@@ -386,19 +376,13 @@ impl<'a> Ledger<'a> {
     }
 
     /// Count a worker process death (any cause, idle or not).
-    pub(crate) fn worker_died(&mut self) {
-        self.stats.worker_crashes += 1;
-        if let Some(m) = &self.exec.metrics {
-            m.worker_crashes.inc();
-        }
+    pub(crate) fn worker_died(&self) {
+        self.metrics.inc(Count::WorkerCrashes);
     }
 
     /// Count a worker process respawn.
-    pub(crate) fn worker_respawned(&mut self) {
-        self.stats.worker_respawns += 1;
-        if let Some(m) = &self.exec.metrics {
-            m.worker_respawns.inc();
-        }
+    pub(crate) fn worker_respawned(&self) {
+        self.metrics.inc(Count::WorkerRespawns);
     }
 
     /// Expire the campaign once its external cancel tripped or its
@@ -487,14 +471,27 @@ impl<'a> Ledger<'a> {
             return None;
         }
         self.last_report = now;
-        self.stats.wall_time = now.duration_since(self.started);
-        Some(format!("[{}] {}", self.campaign, self.stats))
+        let stats = CampaignStats {
+            wall_time: now.duration_since(self.started),
+            ..self.stats()
+        };
+        Some(format!("[{}] {stats}", self.campaign))
+    }
+
+    /// The run's counters so far: what the store gained since the ledger
+    /// started, with the batch's job totals.
+    pub(crate) fn stats(&self) -> CampaignStats {
+        CampaignStats {
+            jobs_total: self.total_jobs,
+            jobs_resumed: self.resumed,
+            ..self.metrics.stats_since(&self.before)
+        }
     }
 
     /// One result per pending job, in batch order (all `Some` once the
-    /// ledger finished), and the run counters.
-    pub(crate) fn into_parts(self) -> (Vec<Option<JobResult>>, CampaignStats) {
-        (self.results, self.stats)
+    /// ledger finished).
+    pub(crate) fn into_results(self) -> Vec<Option<JobResult>> {
+        self.results
     }
 
     /// Fail `jobs` as deadlines, each with the attempts it already used.
@@ -507,11 +504,9 @@ impl<'a> Ledger<'a> {
 
     fn fail(&mut self, index: usize, failure: JobFailure) {
         if matches!(failure, JobFailure::Deadline { .. }) {
-            self.stats.deadline_failed += 1;
+            self.metrics.inc(Count::DeadlineFailed);
         }
-        if let Some(m) = &self.exec.metrics {
-            m.jobs_failed.inc();
-        }
+        self.metrics.inc(Count::JobsFailed);
         self.resolve(index, Err(failure));
     }
 
@@ -524,6 +519,8 @@ impl<'a> Ledger<'a> {
 
 #[cfg(test)]
 mod tests {
+    use vpsim_obs::Registry;
+
     use super::*;
 
     const MS: Duration = Duration::from_millis(1);
@@ -555,6 +552,7 @@ mod tests {
             pending: jobs,
             total_jobs: jobs.len(),
             resumed: 0,
+            metrics: CampaignMetrics::register(&Registry::new(), "ledger-test"),
         };
         Ledger::new(&batch, exec, slots, 2, t0)
     }
@@ -609,7 +607,8 @@ mod tests {
         assert!(l.settle(1, Outcome::Panicked("boom".into()), t0).is_none());
         assert_eq!(take(&mut l, 1, t0), (2, 0));
         assert!(l.settle(1, done(30, MS), t0).is_some());
-        let (results, stats) = l.into_parts();
+        let stats = l.stats();
+        let results = l.into_results();
         assert!(matches!(
             results[0],
             Some(Err(JobFailure::Poisoned { crashes: 2 }))
@@ -655,7 +654,8 @@ mod tests {
         assert!(matches!(l.take(1, t0 + 100 * MS), Take::Wait(None)));
         assert_eq!(l.next_timer(t0 + 100 * MS), None);
         assert!(l.settle(0, Outcome::Cancelled, t0 + 101 * MS).is_none());
-        let (results, stats) = l.into_parts();
+        let stats = l.stats();
+        let results = l.into_results();
         let attempts = results.iter().map(|r| match r {
             Some(Err(JobFailure::Deadline { attempts })) => *attempts,
             other => panic!("expected a deadline failure, got {other:?}"),
@@ -704,7 +704,8 @@ mod tests {
         l.overdue(t1 + 200 * MS);
         assert!(retry.token.is_cancelled());
         assert!(l.settle(0, Outcome::Cancelled, t1 + 200 * MS).is_none());
-        let (results, stats) = l.into_parts();
+        let stats = l.stats();
+        let results = l.into_results();
         assert!(matches!(
             results[0],
             Some(Err(JobFailure::Deadline { attempts: 2 }))
@@ -731,7 +732,7 @@ mod tests {
             l.settle(0, done(20, 20 * MS), t0).map(|r| r.attempts),
             Some(2)
         );
-        let s = &l.stats;
+        let s = &l.stats();
         let counts = (
             s.quarantined_wall,
             s.retries,

@@ -27,10 +27,12 @@
 //!   fallback, surfaced `io_faults`/`torn_lines` counters) instead of
 //!   aborting on short writes, `ENOSPC`, fsync failures, or torn
 //!   renames;
-//! * structured observability — a JSONL result sink, live progress
-//!   reporting, per-job wall/cycle counters aggregated into a
-//!   [`CampaignStats`] summary, and an optional shared [`RunHealth`]
-//!   ledger backing the report bins' `--strict` mode;
+//! * one counter store per run ([`CampaignMetrics`], handles in a
+//!   `vpsim-obs` registry): every job, retry, failure, torn line, I/O
+//!   fault and worker crash is counted once, there, and the outcome's
+//!   [`CampaignStats`], the live progress line, the report bins'
+//!   `--strict` check ([`CampaignMetrics::is_clean`]) and the daemon's
+//!   `/metrics` are views of it; plus a JSONL result sink;
 //! * a resumable manifest ([`Exec::resume`]): an interrupted campaign
 //!   restarted with the same resume directory skips every job already
 //!   recorded there;
@@ -72,17 +74,19 @@ mod pool;
 mod proto;
 mod sink;
 mod spec;
+mod store;
 mod worker;
 
 pub use campaign::{
-    Campaign, CampaignError, CampaignOutcome, CampaignStats, CellError, CellOutcome, CellResult,
-    CellSpec, HarnessError, RunHealth,
+    Campaign, CampaignError, CampaignOutcome, CellError, CellOutcome, CellResult, CellSpec,
+    HarnessError,
 };
-pub use exec::{CampaignMetrics, Exec, JobObserver, WorkerBackend};
+pub use exec::{Exec, JobObserver, WorkerBackend};
 pub use fleet::FleetConfig;
 pub use io::{FaultPlan, FaultyIo, RealIo, SinkIo};
 pub use sink::JobRecord;
 pub use spec::{CampaignSpec, CellCoord, Isolate, SpecError};
+pub use store::{CampaignMetrics, CampaignStats};
 pub use worker::worker_loop;
 
 use vpsec::attacks::AttackCategory;

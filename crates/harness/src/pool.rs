@@ -17,9 +17,9 @@
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::campaign::CampaignStats;
 use crate::exec::Exec;
 use crate::ledger::{run_job, Batch, Job, JobResult, Ledger, OnDone, Outcome, Take};
+use crate::store::{CampaignMetrics, Phase};
 
 struct State<'a> {
     ledger: Ledger<'a>,
@@ -100,7 +100,7 @@ impl<'a> Shared<'a> {
 /// One worker slot's handle on the shared ledger.
 pub(crate) struct Lane<'s, 'a> {
     shared: &'s Shared<'a>,
-    exec: &'a Exec,
+    metrics: &'s CampaignMetrics,
     on_done: &'s OnDone<'s>,
     slot: usize,
     idle_since: Instant,
@@ -131,10 +131,8 @@ impl<'a> Lane<'_, 'a> {
                 }
             }
         };
-        if let Some(m) = &self.exec.metrics {
-            m.queue_wait_seconds
-                .observe(self.idle_since.elapsed().as_secs_f64());
-        }
+        self.metrics
+            .observe(Phase::QueueWait, self.idle_since.elapsed());
         Some(job)
     }
 
@@ -176,8 +174,7 @@ impl<'a> Lane<'_, 'a> {
 }
 
 /// Run the batch's pending jobs on `lanes` threads, each served by
-/// `serve`, and return one result per pending job, in batch order, with
-/// the run counters.
+/// `serve`, and return one result per pending job, in batch order.
 pub(crate) fn run_lanes(
     batch: &Batch<'_>,
     exec: &Exec,
@@ -185,7 +182,7 @@ pub(crate) fn run_lanes(
     poison_threshold: u32,
     on_done: &OnDone<'_>,
     serve: &(dyn Fn(Lane<'_, '_>) + Sync),
-) -> (Vec<Option<JobResult>>, CampaignStats) {
+) -> Vec<Option<JobResult>> {
     let ledger = Ledger::new(batch, exec, lanes, poison_threshold, Instant::now());
     // Nothing pending, or a pre-tripped cancel drained it all: no lanes.
     let lanes = if ledger.finished() { 0 } else { lanes };
@@ -203,7 +200,7 @@ pub(crate) fn run_lanes(
             scope.spawn(move || {
                 serve(Lane {
                     shared,
-                    exec,
+                    metrics: &batch.metrics,
                     on_done,
                     slot,
                     idle_since: Instant::now(),
@@ -218,7 +215,7 @@ pub(crate) fn run_lanes(
         .into_inner()
         .expect("ledger lock poisoned")
         .ledger
-        .into_parts()
+        .into_results()
 }
 
 /// The thread backend: [`Exec::effective_jobs`] lanes running jobs
@@ -227,7 +224,7 @@ pub(crate) fn run_jobs(
     batch: &Batch<'_>,
     exec: &Exec,
     on_done: &OnDone<'_>,
-) -> (Vec<Option<JobResult>>, CampaignStats) {
+) -> Vec<Option<JobResult>> {
     run_lanes(
         batch,
         exec,

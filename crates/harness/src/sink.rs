@@ -19,14 +19,13 @@
 //! **degrades gracefully**: a failed append falls back to a spill file
 //! (`<name>.spill.jsonl`, merged back on the next open), a failed
 //! rewrite leaves the manifest in append-only mode, and every observed
-//! failure is counted into
+//! failure is counted into the run's store, which the outcome reads as
 //! [`CampaignStats::io_faults`](crate::CampaignStats). A campaign never
 //! aborts because its disk misbehaved mid-run — at worst some results
 //! are re-run on resume.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vpsec::experiment::{PairOutcome, TrialOutcome};
@@ -35,6 +34,7 @@ use vpsim_pipeline::SchedStats;
 
 use crate::campaign::HarnessError;
 use crate::io::SinkIo;
+use crate::store::{CampaignMetrics, Count};
 
 /// A completed job as recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,8 +161,8 @@ pub(crate) struct Manifest {
     /// The fingerprint header line, including its trailing newline.
     header: String,
     completed: HashMap<(usize, usize), JobRecord>,
-    torn_lines: usize,
-    io_faults: AtomicUsize,
+    /// Counts torn lines and I/O faults.
+    metrics: CampaignMetrics,
     append: Mutex<AppendState>,
 }
 
@@ -247,12 +247,14 @@ impl Manifest {
     /// against this campaign's fingerprint and job count, merging any
     /// spill file left by a degraded previous run, and compacting
     /// everything back into the primary through an atomic rewrite.
+    /// Torn lines and I/O faults are counted into `metrics`.
     pub fn open(
         dir: &Path,
         campaign: &str,
         fingerprint: u64,
         jobs_total: usize,
         io: Arc<dyn SinkIo>,
+        metrics: &CampaignMetrics,
     ) -> Result<Manifest, HarnessError> {
         io.create_dir_all(dir)
             .map_err(|e| HarnessError::Io(e.to_string()))?;
@@ -264,7 +266,6 @@ impl Manifest {
         );
         let mut completed = HashMap::new();
         let mut torn_lines = 0usize;
-        let mut io_faults = 0usize;
         for file in [&path, &spill_path] {
             if io.exists(file) {
                 let contents = io.read(file).map_err(|e| HarnessError::Io(e.to_string()))?;
@@ -278,6 +279,7 @@ impl Manifest {
                 )?;
             }
         }
+        metrics.add(Count::TornLines, torn_lines as u64);
         if torn_lines > 0 {
             eprintln!(
                 "warning: manifest {} had {torn_lines} torn line(s) \
@@ -304,11 +306,11 @@ impl Manifest {
                 // The spill's records now live in the primary; a failed
                 // remove is harmless (re-merged, idempotently, next open).
                 if io.remove(&spill_path).is_err() {
-                    io_faults += 1;
+                    metrics.inc(Count::IoFaults);
                 }
             }
             Err(e) => {
-                io_faults += 1;
+                metrics.inc(Count::IoFaults);
                 eprintln!(
                     "warning: manifest {} rewrite failed ({e}); \
                      continuing in append-only mode",
@@ -323,7 +325,7 @@ impl Manifest {
                         // at least seed the header so appends are
                         // resumable. A failure here just costs a re-run.
                         if io.append(&path, &header).is_err() {
-                            io_faults += 1;
+                            metrics.inc(Count::IoFaults);
                         }
                     }
                 }
@@ -336,25 +338,13 @@ impl Manifest {
             spill_path,
             header,
             completed,
-            torn_lines,
-            io_faults: AtomicUsize::new(io_faults),
+            metrics: metrics.clone(),
             append: Mutex::new(AppendState {
                 primary_needs_newline,
                 spill_needs_newline: false,
                 spill_has_header,
             }),
         })
-    }
-
-    /// Unparseable lines dropped while recovering an interrupted
-    /// manifest (0 for a clean one).
-    pub fn torn_lines(&self) -> usize {
-        self.torn_lines
-    }
-
-    /// Sink I/O failures observed and degraded around so far.
-    pub fn io_faults(&self) -> usize {
-        self.io_faults.load(Ordering::Relaxed)
     }
 
     /// Jobs already recorded by a previous (interrupted) run.
@@ -380,7 +370,7 @@ impl Manifest {
             st.primary_needs_newline = false;
             return;
         }
-        self.io_faults.fetch_add(1, Ordering::Relaxed);
+        self.metrics.inc(Count::IoFaults);
         // The failed append may have persisted a partial line.
         st.primary_needs_newline = true;
         // Degrade: spill the record next to the primary. The spill
@@ -390,7 +380,7 @@ impl Manifest {
             if self.io.append(&self.spill_path, &self.header).is_ok() {
                 st.spill_has_header = true;
             } else {
-                self.io_faults.fetch_add(1, Ordering::Relaxed);
+                self.metrics.inc(Count::IoFaults);
             }
         }
         let mut data = String::new();
@@ -402,7 +392,7 @@ impl Manifest {
         if self.io.append(&self.spill_path, &data).is_ok() {
             st.spill_needs_newline = false;
         } else {
-            self.io_faults.fetch_add(1, Ordering::Relaxed);
+            self.metrics.inc(Count::IoFaults);
             st.spill_needs_newline = true;
         }
     }
@@ -410,6 +400,8 @@ impl Manifest {
 
 #[cfg(test)]
 mod tests {
+    use vpsim_obs::Registry;
+
     use super::*;
     use crate::io::{FaultPlan, FaultyIo, RealIo};
 
@@ -483,15 +475,19 @@ mod tests {
             enospc: 0.45,
             ..FaultPlan::quiet(6)
         }));
-        let m = Manifest::open(dir, "t", 0xfeed, 64, fio.clone()).unwrap();
+        let store = CampaignMetrics::register(&Registry::new(), "t");
+        let m = Manifest::open(dir, "t", 0xfeed, 64, fio.clone(), &store).unwrap();
         for t in 0..64 {
             m.record(rec(0, t, t as f64));
         }
-        assert!(m.io_faults() > 0, "the hostile plan must have fired");
+        assert!(
+            store.totals().io_faults > 0,
+            "the hostile plan must have fired"
+        );
         drop(m);
         // Reopen over the same in-memory files: every record that made
         // it to *either* the primary or the spill merges back, intact.
-        let recovered = Manifest::open(dir, "t", 0xfeed, 64, fio).unwrap();
+        let recovered = Manifest::open(dir, "t", 0xfeed, 64, fio, &store).unwrap();
         assert!(
             !recovered.completed().is_empty(),
             "some records must have survived"
@@ -508,8 +504,9 @@ mod tests {
         let dir = Path::new("campaigns");
         let path = Manifest::path(dir, "torn");
         fio.append(&path, "{\"v\":1,\"campai").unwrap();
-        let m = Manifest::open(dir, "torn", 0xabcd, 2, fio).unwrap();
-        assert_eq!(m.torn_lines(), 1);
+        let store = CampaignMetrics::register(&Registry::new(), "torn");
+        let m = Manifest::open(dir, "torn", 0xabcd, 2, fio, &store).unwrap();
+        assert_eq!(store.totals().torn_lines, 1);
         assert!(m.completed().is_empty());
     }
 
@@ -518,13 +515,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vpsim-sink-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let io: Arc<dyn SinkIo> = Arc::new(RealIo);
-        let m = Manifest::open(&dir, "rt", 0x1234, 3, io.clone()).unwrap();
+        let store = CampaignMetrics::register(&Registry::new(), "rt");
+        let m = Manifest::open(&dir, "rt", 0x1234, 3, io.clone(), &store).unwrap();
         m.record(rec(1, 2, 9.5));
         drop(m);
-        let m = Manifest::open(&dir, "rt", 0x1234, 3, io).unwrap();
+        let m = Manifest::open(&dir, "rt", 0x1234, 3, io, &store).unwrap();
         assert_eq!(m.completed().len(), 1);
-        assert_eq!(m.torn_lines(), 0);
-        assert_eq!(m.io_faults(), 0);
+        assert_eq!(store.totals().torn_lines, 0);
+        assert_eq!(store.totals().io_faults, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,10 @@ use std::time::Duration;
 use vpsec::attacks::AttackCategory;
 use vpsec::chaos::ChaosConfig;
 use vpsec::experiment::{Channel, Evaluation, ExperimentConfig, PredictorKind};
-use vpsim_harness::{Campaign, CampaignError, CellOutcome, CellSpec, Exec, HarnessError};
+use vpsim_harness::{
+    Campaign, CampaignError, CampaignMetrics, CellOutcome, CellSpec, Exec, HarnessError,
+};
+use vpsim_obs::Registry;
 
 fn cfg(trials: usize) -> ExperimentConfig {
     ExperimentConfig {
@@ -218,8 +221,8 @@ fn cycle_budget_flags_runaway_jobs() {
     assert!(outcome.get("train_test/tw/lvp").is_some());
 }
 
-#[test]
-fn a_panicking_cell_fails_alone() {
+/// A 4-trial healthy cell and a 4-trial cell whose every job panics.
+fn faulty_campaign() -> Campaign {
     let mut campaign = Campaign::new("faulty");
     campaign.push(CellSpec::new(
         "healthy",
@@ -245,6 +248,12 @@ fn a_panicking_cell_fails_alone() {
             ..ExperimentConfig::default()
         },
     ));
+    campaign
+}
+
+#[test]
+fn a_panicking_cell_fails_alone() {
+    let campaign = faulty_campaign();
     let outcome = campaign
         .run(&Exec {
             jobs: 4,
@@ -262,6 +271,80 @@ fn a_panicking_cell_fails_alone() {
         other => panic!("expected Failed, got {other:?}"),
     }
     assert_eq!(outcome.stats.panics, 4);
+}
+
+#[test]
+fn outcome_stats_are_the_run_slice_of_its_store_and_a_panic_reads_dirty() {
+    let registry = Registry::new();
+    let store = CampaignMetrics::register(&registry, "faulty");
+    let outcome = faulty_campaign()
+        .run(&Exec {
+            jobs: 4,
+            metrics: Some(store.clone()),
+            ..Exec::default()
+        })
+        .unwrap();
+    let s = &outcome.stats;
+    assert_eq!((s.panics, s.failed_cells, s.jobs_run), (4, 1, 4));
+    let slice = registry.snapshot().filter_label("campaign", "faulty");
+    for (family, stat) in [
+        ("vpsim_jobs_done_total", s.jobs_run),
+        ("vpsim_cells_failed_total", s.failed_cells),
+        ("vpsim_job_wall_retries_total", s.retries),
+        ("vpsim_jobs_wall_quarantined_total", s.quarantined_wall),
+        ("vpsim_jobs_cycle_quarantined_total", s.quarantined_cycles),
+        ("vpsim_job_panics_total", s.panics),
+        ("vpsim_job_cancellations_total", s.cancelled),
+        ("vpsim_job_backoff_retries_total", s.backoff_retries),
+        ("vpsim_jobs_deadline_failed_total", s.deadline_failed),
+        ("vpsim_torn_lines_total", s.torn_lines),
+        ("vpsim_io_faults_total", s.io_faults),
+        ("vpsim_worker_crashes_total", s.worker_crashes),
+        ("vpsim_worker_respawns_total", s.worker_respawns),
+    ] {
+        assert_eq!(slice.counter_sum(family), stat as u64, "{family}");
+    }
+    // Nothing resumed, so the reduction's cycles are the store's.
+    assert_eq!(slice.counter_sum("vpsim_sim_cycles_total"), s.sim_cycles);
+    assert!(!store.is_clean(), "a panicked cell must read dirty");
+}
+
+#[test]
+fn a_clean_campaign_reads_clean() {
+    let store = CampaignMetrics::register(&Registry::new(), "clean");
+    let outcome = small_campaign("clean")
+        .run(&Exec {
+            metrics: Some(store.clone()),
+            ..Exec::default()
+        })
+        .unwrap();
+    assert_eq!(
+        (outcome.stats.jobs_run, outcome.stats.failed_cells),
+        (16, 0)
+    );
+    assert!(store.is_clean());
+}
+
+#[test]
+fn runs_sharing_a_store_each_report_their_own_counts() {
+    let store = CampaignMetrics::register(&Registry::new(), "shared");
+    let exec = Exec {
+        jobs: 2,
+        metrics: Some(store.clone()),
+        ..Exec::default()
+    };
+    let first = faulty_campaign().run(&exec).unwrap();
+    let second = small_campaign("shared").run(&exec).unwrap();
+    let (a, b) = (&first.stats, &second.stats);
+    assert_eq!((a.jobs_run, a.panics, a.failed_cells), (4, 4, 1));
+    assert_eq!((b.jobs_run, b.panics, b.failed_cells), (16, 0, 0));
+    let total = store.totals();
+    assert_eq!(
+        (total.jobs_run, total.panics, total.failed_cells),
+        (20, 4, 1)
+    );
+    assert_eq!(total.sim_cycles, a.sim_cycles + b.sim_cycles);
+    assert!(!store.is_clean(), "the first run's panics stay counted");
 }
 
 #[test]

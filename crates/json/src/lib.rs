@@ -82,10 +82,21 @@ pub fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(field_raw(line, key)?.trim_matches('"'))
 }
 
+/// `digits` as an unsigned number in `radix`, or `None` unless it is one
+/// or more digits of that radix: Rust's integer parsers also take a
+/// leading `+`, which neither JSON nor HTTP allow.
+#[must_use]
+pub fn parse_unsigned(digits: &str, radix: u32) -> Option<u64> {
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    u64::from_str_radix(digits, radix).ok()
+}
+
 /// The value of `"key"` parsed as a `u64`.
 #[must_use]
 pub fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field_raw(line, key)?.parse().ok()
+    parse_unsigned(field_raw(line, key)?, 10)
 }
 
 /// The value of `"key"` parsed as an `f64`.
@@ -97,7 +108,7 @@ pub fn field_f64(line: &str, key: &str) -> Option<f64> {
 /// The value of `"key"` — a quoted hex string — as the raw `u64` bits.
 #[must_use]
 pub fn field_hex(line: &str, key: &str) -> Option<u64> {
-    u64::from_str_radix(field_raw(line, key)?.trim_matches('"'), 16).ok()
+    parse_unsigned(field_raw(line, key)?.trim_matches('"'), 16)
 }
 
 // ---------------------------------------------------------------------
@@ -333,11 +344,12 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits, so at most 0xffff.
                             let hex = self
                                 .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
+                                .and_then(|h| parse_unsigned(h, 16));
+                            match hex.and_then(|h| char::from_u32(h as u32)) {
                                 // Surrogate halves and lone \u escapes
                                 // outside the BMP are rejected rather
                                 // than decoded — the workspace writers
@@ -466,6 +478,13 @@ mod tests {
     }
 
     #[test]
+    fn signed_field_values_are_not_numbers() {
+        assert_eq!(field_u64("{\"cell\":+7}", "cell"), None);
+        assert_eq!(field_hex("{\"obs\":\"+ff\"}", "obs"), None);
+        assert_eq!(field_hex("{\"obs\":\"ff\"}", "obs"), Some(255));
+    }
+
+    #[test]
     fn escape_round_trips_through_parser() {
         let nasty = "he said \"hi\\there\"\n\tok\u{1}";
         let doc = format!("{{\"k\":\"{}\"}}", escaped(nasty));
@@ -515,6 +534,7 @@ mod tests {
             "{\"a\":1}garbage",
             "\u{7f}",
             "{\"k\":\"\u{1}\"}",
+            "\"\\u+041\"",
         ] {
             let err = parse(bad).unwrap_err();
             let msg = err.to_string();

@@ -53,12 +53,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite with an absolute value — for scrape-time aggregation
-    /// of counters whose source of truth lives elsewhere.
-    pub fn store(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
@@ -177,14 +171,14 @@ impl Registry {
         Registry::default()
     }
 
-    fn register(
+    /// Run `with` on family `name`, created with no series if absent.
+    fn with_family<R>(
         &self,
         name: &str,
         help: &str,
         kind: MetricKind,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Handle,
-    ) -> Handle {
+        with: impl FnOnce(&mut Family) -> R,
+    ) -> R {
         assert!(
             valid_name(name),
             "invalid metric name {name:?} (want [a-z_][a-z0-9_]*)"
@@ -201,13 +195,36 @@ impl Registry {
             kind,
             family.kind
         );
-        let key = canonical_labels(labels);
-        let handle = family.series.entry(key).or_insert_with(make);
-        match handle {
-            Handle::Counter(c) => Handle::Counter(c.clone()),
-            Handle::Gauge(g) => Handle::Gauge(g.clone()),
-            Handle::Histo(h) => Handle::Histo(h.clone()),
-        }
+        with(family)
+    }
+
+    /// Declare a family without registering a series: the exposition
+    /// carries its `# HELP` and `# TYPE` lines and no samples until a
+    /// series is registered.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid name or kind mismatch.
+    pub fn declare(&self, name: &str, help: &str, kind: MetricKind) {
+        self.with_family(name, help, kind, |_| ());
+    }
+
+    fn register(
+        &self,
+        name: &str,
+        help: &str,
+        kind: MetricKind,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> Handle,
+    ) -> Handle {
+        self.with_family(name, help, kind, |family| {
+            let key = canonical_labels(labels);
+            match family.series.entry(key).or_insert_with(make) {
+                Handle::Counter(c) => Handle::Counter(c.clone()),
+                Handle::Gauge(g) => Handle::Gauge(g.clone()),
+                Handle::Histo(h) => Handle::Histo(h.clone()),
+            }
+        })
     }
 
     /// Register (or re-attach to) a counter series. Re-registering the
@@ -501,6 +518,20 @@ impl Snapshot {
         out
     }
 
+    /// The sum of counter family `name` over all its series (0 when it
+    /// has none): a daemon-wide total of per-campaign series.
+    #[must_use]
+    pub fn counter_sum(&self, name: &str) -> u64 {
+        let family = self.families.iter().filter(|f| f.name == name);
+        let series = family.flat_map(|f| &f.series);
+        series
+            .map(|s| match s.value {
+                SeriesValue::Counter(v) => v,
+                _ => 0,
+            })
+            .sum()
+    }
+
     /// Keep only series carrying the label `key == value`; families
     /// left with no series are dropped.
     #[must_use]
@@ -603,6 +634,22 @@ vpsim_c_seconds_count 3
         let parsed = vpsim_json::parse(&doc).expect("valid JSON");
         let fams = parsed.get("families").and_then(|f| f.as_arr()).unwrap();
         assert_eq!(fams.len(), 2);
+    }
+
+    #[test]
+    fn declared_families_render_without_samples_and_sum_their_series() {
+        let r = Registry::new();
+        r.declare("vpsim_x_total", "x", MetricKind::Counter);
+        let snap = r.snapshot();
+        assert_eq!(
+            snap.to_prometheus(),
+            "# HELP vpsim_x_total x\n# TYPE vpsim_x_total counter\n"
+        );
+        assert_eq!(snap.counter_sum("vpsim_x_total"), 0);
+        assert!(snap.filter_label("campaign", "1").families.is_empty());
+        r.counter("vpsim_x_total", "x", &[("campaign", "1")]).add(2);
+        r.counter("vpsim_x_total", "x", &[("campaign", "2")]).add(3);
+        assert_eq!(r.snapshot().counter_sum("vpsim_x_total"), 5);
     }
 
     #[test]

@@ -53,8 +53,9 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
 fn read_chunk(reader: &mut impl BufRead) -> std::io::Result<Option<Vec<u8>>> {
     let mut size_line = String::new();
     reader.read_line(&mut size_line)?;
-    let size = usize::from_str_radix(size_line.trim(), 16)
-        .map_err(|_| io_err(format!("bad chunk size {size_line:?}")))?;
+    let size = vpsim_json::parse_unsigned(size_line.trim(), 16)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| io_err(format!("bad chunk size {size_line:?}")))?;
     if size == 0 {
         let mut trailer = String::new();
         let _ = reader.read_line(&mut trailer);
@@ -95,7 +96,9 @@ pub fn request(
         while let Some(chunk) = read_chunk(&mut reader)? {
             raw.extend_from_slice(&chunk);
         }
-    } else if let Some(n) = header(&headers, "content-length").and_then(|v| v.parse::<usize>().ok())
+    } else if let Some(n) = header(&headers, "content-length")
+        .and_then(|v| vpsim_json::parse_unsigned(v, 10))
+        .and_then(|n| usize::try_from(n).ok())
     {
         raw.resize(n, 0);
         reader.read_exact(&mut raw)?;
@@ -150,4 +153,17 @@ pub fn stream(addr: &str, path: &str, mut on_line: impl FnMut(&str)) -> std::io:
         on_line(&pending);
     }
     Ok(status)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn chunk_sizes_are_hex_digits_only() {
+        let chunk = |raw: &str| read_chunk(&mut raw.as_bytes());
+        assert_eq!(chunk("5\r\nhello\r\n").unwrap(), Some(b"hello".to_vec()));
+        assert_eq!(chunk("0\r\n\r\n").unwrap(), None);
+        assert!(chunk("+5\r\nhello\r\n").is_err());
+    }
 }

@@ -164,8 +164,9 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         .iter()
         .find(|(n, _)| n == "content-length")
         .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| malformed(format!("non-numeric content-length {v:?}")))
+            vpsim_json::parse_unsigned(v, 10)
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| malformed(format!("non-numeric content-length {v:?}")))
         })
         .transpose()?
         .unwrap_or(0);

@@ -26,8 +26,7 @@
 //! ([`ServeConfig::max_connections`]); excess ones are shed immediately
 //! with `503` + `Retry-After`, as are campaign submissions past the
 //! runner-queue high-water mark ([`ServeConfig::queue_high_water`]).
-//! Shedding is counted in `vpsim_shed_requests_total` and each
-//! campaign's stats footer.
+//! Shedding is counted in `vpsim_shed_requests_total`.
 //!
 //! Campaigns can run on the process-isolated backend (spec field
 //! `"isolate":"process"`, or daemon-wide via [`ServeConfig::isolate`]):

@@ -24,8 +24,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use vpsim_harness::{
-    CampaignMetrics, CampaignSpec, CellOutcome, Exec, FleetConfig, Isolate, JobObserver, RunHealth,
-    SpecError, WorkerBackend,
+    CampaignMetrics, CampaignSpec, CellOutcome, Exec, FleetConfig, Isolate, JobObserver, SpecError,
+    WorkerBackend,
 };
 use vpsim_json::escaped;
 use vpsim_obs::{Counter, Gauge, Registry};
@@ -82,33 +82,28 @@ impl Default for ServeConfig {
     }
 }
 
-/// Daemon-level metric handles, all living in the shared registry as
-/// unlabelled series. Their source of truth is the entry table and the
-/// health ledger; [`metrics_text`] refreshes them at scrape time (with
-/// no lock held while rendering) so the exposition is always current
-/// without a background sampler thread.
+/// The daemon's own series: what no campaign counts. They are
+/// unlabelled; everything a campaign counts lives in its
+/// `campaign="<id>"` store, and a daemon-wide total is a sum over those
+/// series. The gauges are set from the entry table at scrape time
+/// ([`metrics_text`]), with no lock held while rendering.
 #[derive(Debug)]
 struct DaemonMetrics {
     uptime_seconds: Gauge,
     campaigns_active: Gauge,
     campaigns_queued: Gauge,
-    campaigns_done: Gauge,
+    campaigns_done: Counter,
     jobs_queued: Gauge,
-    jobs_done: Counter,
-    sim_cycles: Counter,
     sim_cycles_per_second: Gauge,
-    io_faults: Counter,
-    torn_lines: Counter,
-    health_failed_cells: Gauge,
-    health_panics: Gauge,
-    worker_crashes: Counter,
-    worker_respawns: Counter,
     shed_requests: Counter,
     connections_active: Gauge,
 }
 
 impl DaemonMetrics {
+    /// Register the daemon's series, and declare the per-campaign
+    /// families so an idle daemon already describes them.
     fn register(r: &Registry) -> DaemonMetrics {
+        CampaignMetrics::declare(r);
         DaemonMetrics {
             uptime_seconds: r.gauge("vpsim_uptime_seconds", "daemon uptime", &[]),
             campaigns_active: r.gauge("vpsim_campaigns_active", "campaigns currently running", &[]),
@@ -117,8 +112,8 @@ impl DaemonMetrics {
                 "campaigns waiting for a runner",
                 &[],
             ),
-            campaigns_done: r.gauge(
-                "vpsim_campaigns_done",
+            campaigns_done: r.counter(
+                "vpsim_campaigns_done_total",
                 "campaigns completed since start",
                 &[],
             ),
@@ -127,45 +122,9 @@ impl DaemonMetrics {
                 "jobs not yet completed across active and queued campaigns",
                 &[],
             ),
-            jobs_done: r.counter(
-                "vpsim_jobs_done_total",
-                "jobs completed (resumed replays included)",
-                &[],
-            ),
-            sim_cycles: r.counter(
-                "vpsim_sim_cycles_total",
-                "simulated cycles over completed jobs",
-                &[],
-            ),
             sim_cycles_per_second: r.gauge(
                 "vpsim_sim_cycles_per_second",
-                "simulation throughput since daemon start",
-                &[],
-            ),
-            io_faults: r.counter(
-                "vpsim_io_faults_total",
-                "sink I/O faults degraded around",
-                &[],
-            ),
-            torn_lines: r.counter(
-                "vpsim_torn_lines_total",
-                "torn manifest lines recovered on resume",
-                &[],
-            ),
-            health_failed_cells: r.gauge(
-                "vpsim_health_failed_cells",
-                "cells that failed permanently",
-                &[],
-            ),
-            health_panics: r.gauge("vpsim_health_panics", "jobs that panicked", &[]),
-            worker_crashes: r.counter(
-                "vpsim_worker_crashes_total",
-                "worker processes that died and were contained",
-                &[],
-            ),
-            worker_respawns: r.counter(
-                "vpsim_worker_respawns_total",
-                "worker processes respawned after a death",
+                "cycles simulated by this daemon's campaigns per second of uptime",
                 &[],
             ),
             shed_requests: r.counter(
@@ -193,11 +152,6 @@ struct Inner {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     started: Instant,
-    health: Arc<RunHealth>,
-    sim_cycles: AtomicU64,
-    campaigns_done: AtomicU64,
-    /// Requests shed with `503` (connection cap or queue high water).
-    shed_requests: AtomicU64,
     /// Connections currently inside `handle_connection`.
     connections: AtomicUsize,
     /// The workspace metrics registry backing `/metrics` and
@@ -237,10 +191,6 @@ impl Server {
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            health: Arc::new(RunHealth::default()),
-            sim_cycles: AtomicU64::new(0),
-            campaigns_done: AtomicU64::new(0),
-            shed_requests: AtomicU64::new(0),
             connections: AtomicUsize::new(0),
             registry,
             metrics,
@@ -390,7 +340,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
         let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
         if inner.connections.fetch_add(1, Ordering::AcqRel) >= inner.cfg.max_connections {
             inner.connections.fetch_sub(1, Ordering::AcqRel);
-            inner.shed_requests.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.shed_requests.inc();
             let _ = http::respond_with_headers(
                 &mut stream,
                 503,
@@ -467,13 +417,11 @@ fn run_campaign(inner: &Arc<Inner>, entry: &Arc<Entry>) {
             ..FleetConfig::default()
         }),
     };
-    let shed_before = inner.shed_requests.load(Ordering::Relaxed);
     let exec = Exec {
         jobs: inner.cfg.jobs,
         resume: Some(inner.cfg.state_dir.join(entry.id.to_string())),
         cancel: Some(entry.cancel.clone()),
         observer: Some(observer),
-        health: Some(Arc::clone(&inner.health)),
         metrics: Some(CampaignMetrics::register(
             &inner.registry,
             &entry.id.to_string(),
@@ -481,23 +429,14 @@ fn run_campaign(inner: &Arc<Inner>, entry: &Arc<Entry>) {
         backend,
         ..Exec::default()
     };
-    let outcome = entry.spec.to_campaign().run(&exec).map(|mut outcome| {
-        // Attribute the daemon's overload shedding during this run
-        // window to the campaign's own stats footer.
-        outcome.stats.shed_requests =
-            (inner.shed_requests.load(Ordering::Relaxed) - shed_before) as usize;
-        outcome
-    });
+    let outcome = entry.spec.to_campaign().run(&exec);
 
     let shutting_down =
         inner.shutdown.load(Ordering::Acquire) && entry.state() != CampaignState::Cancelled;
     match outcome {
-        Ok(outcome) if shutting_down => {
+        Ok(_) if shutting_down => {
             // Interrupted by daemon shutdown: completed jobs are in the
             // manifest; the next start resumes and re-streams them.
-            inner
-                .sim_cycles
-                .fetch_add(outcome.stats.sim_cycles, Ordering::Relaxed);
             entry
                 .log
                 .push("{\"type\":\"status\",\"state\":\"interrupted\"}".to_owned());
@@ -511,13 +450,10 @@ fn run_campaign(inner: &Arc<Inner>, entry: &Arc<Entry>) {
                     failed_cells += 1;
                 }
             }
-            inner
-                .sim_cycles
-                .fetch_add(outcome.stats.sim_cycles, Ordering::Relaxed);
             let state = if entry.state() == CampaignState::Cancelled {
                 CampaignState::Cancelled
             } else {
-                inner.campaigns_done.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.campaigns_done.inc();
                 CampaignState::Done
             };
             entry.set_state(state);
@@ -738,7 +674,7 @@ fn submit(inner: &Arc<Inner>, request: &Request, stream: &mut TcpStream) -> std:
     if queued >= inner.cfg.queue_high_water {
         // Overload shedding: accepting would only deepen the backlog;
         // tell the client when to come back instead.
-        inner.shed_requests.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.shed_requests.inc();
         return http::respond_with_headers(
             stream,
             503,
@@ -858,64 +794,44 @@ fn stream_results(entry: &Arc<Entry>, stream: &mut TcpStream) -> std::io::Result
     writer.finish()
 }
 
-/// Refresh the daemon-level (unlabelled) series from the entry table
-/// and health ledger. Aggregates are computed under the entries lock
-/// into locals; the lock is released before any handle is touched or
-/// anything is rendered.
+/// Set the daemon's gauges: campaign and job counts from the entry
+/// table (computed under its lock, which is released before any handle
+/// is touched), and the simulation rate from the per-campaign cycle
+/// series.
 fn refresh_daemon_metrics(inner: &Arc<Inner>) {
     let entries = inner.entries.lock().expect("entries poisoned");
     let mut active = 0usize;
     let mut queued = 0usize;
-    let mut jobs_done = 0usize;
     let mut jobs_queued = 0usize;
     for entry in entries.values() {
-        let done = entry.jobs_done.load(Ordering::Relaxed);
-        jobs_done += done;
+        let left = entry
+            .jobs_total
+            .saturating_sub(entry.jobs_done.load(Ordering::Relaxed));
         match entry.state() {
-            CampaignState::Running => {
-                active += 1;
-                jobs_queued += entry.jobs_total.saturating_sub(done);
-            }
-            CampaignState::Queued => {
-                queued += 1;
-                jobs_queued += entry.jobs_total.saturating_sub(done);
-            }
-            _ => {}
+            CampaignState::Running => active += 1,
+            CampaignState::Queued => queued += 1,
+            _ => continue,
         }
+        jobs_queued += left;
     }
     drop(entries);
     let uptime = inner.started.elapsed().as_secs_f64().max(1e-9);
-    let cycles = inner.sim_cycles.load(Ordering::Relaxed);
+    let cycles = inner
+        .registry
+        .snapshot()
+        .counter_sum("vpsim_sim_cycles_total");
     let m = &inner.metrics;
     m.uptime_seconds.set(uptime);
     m.campaigns_active.set(active as f64);
     m.campaigns_queued.set(queued as f64);
-    m.campaigns_done
-        .set(inner.campaigns_done.load(Ordering::Relaxed) as f64);
     m.jobs_queued.set(jobs_queued as f64);
-    m.jobs_done.store(jobs_done as u64);
-    m.sim_cycles.store(cycles);
     m.sim_cycles_per_second.set(cycles as f64 / uptime);
-    m.io_faults
-        .store(inner.health.io_faults.load(Ordering::Relaxed));
-    m.torn_lines
-        .store(inner.health.torn_lines.load(Ordering::Relaxed));
-    m.health_failed_cells
-        .set(inner.health.failed_cells.load(Ordering::Relaxed) as f64);
-    m.health_panics
-        .set(inner.health.panics.load(Ordering::Relaxed) as f64);
-    m.worker_crashes
-        .store(inner.health.worker_crashes.load(Ordering::Relaxed));
-    m.worker_respawns
-        .store(inner.health.worker_respawns.load(Ordering::Relaxed));
-    m.shed_requests
-        .store(inner.shed_requests.load(Ordering::Relaxed));
     m.connections_active
         .set(inner.connections.load(Ordering::Relaxed) as f64);
 }
 
 /// `GET /metrics`: Prometheus text exposition of the whole registry —
-/// the refreshed daemon-level series plus every per-campaign series
+/// the daemon's own series plus every per-campaign series
 /// (`campaign="<id>"` labels) updated live by the worker pools.
 fn metrics_text(inner: &Arc<Inner>) -> String {
     refresh_daemon_metrics(inner);

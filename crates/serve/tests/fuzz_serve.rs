@@ -240,6 +240,22 @@ fn fuzzed_http_requests_error_never_panic() {
     }
 }
 
+/// Rust's integer parsers take a leading `+`; JSON and HTTP do not. A
+/// `\u` escape needs exactly four hex digits and a content-length is
+/// digits only, so each signed form is an error, not a number.
+#[test]
+fn signed_digits_are_rejected() {
+    for doc in ["\"\\u+041\"", "{\"name\":\"\\u+06f\"}"] {
+        let result = must_not_panic(doc, || vpsim_json::parse(doc));
+        assert!(result.is_err(), "{doc}: parsed {result:?}");
+    }
+    let raw = "POST /campaigns HTTP/1.1\r\ncontent-length: +4\r\n\r\nabcd";
+    let result = must_not_panic(raw, || {
+        http::read_request(&mut std::io::BufReader::new(raw.as_bytes()))
+    });
+    assert!(result.is_err(), "{raw:?}: parsed {result:?}");
+}
+
 /// Oversized inputs: megabyte header lines and deeply nested JSON must
 /// be rejected by the caps, not blow the stack or the heap.
 #[test]

@@ -251,10 +251,13 @@ fn shutdown_right_after_submit_joins_promptly_and_restart_resumes() {
 /// Minimal Prometheus-exposition checker: every sample line must belong
 /// to a family announced by exactly one `# TYPE` line, counter families
 /// must end in `_total`, families must appear in stable (sorted) order,
-/// and no series may repeat.
+/// no series may repeat, and no family may mix unlabelled and labelled
+/// series (an unlabelled total next to per-campaign series would count
+/// twice under `sum()`).
 fn check_exposition(body: &str) -> Vec<String> {
     let mut families: Vec<(String, String)> = Vec::new();
     let mut series_seen = std::collections::HashSet::new();
+    let mut label_styles = std::collections::HashMap::new();
     for line in body.lines().filter(|l| !l.is_empty()) {
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut it = rest.split_whitespace();
@@ -282,7 +285,7 @@ fn check_exposition(body: &str) -> Vec<String> {
                 .0;
             assert!(series_seen.insert(id.to_owned()), "duplicate series {id}");
             let name = id.split('{').next().unwrap();
-            let declared = families.iter().any(|(n, kind)| {
+            let family = families.iter().find(|(n, kind)| {
                 name == n
                     || (kind == "histogram"
                         && [
@@ -292,7 +295,17 @@ fn check_exposition(body: &str) -> Vec<String> {
                         ]
                         .contains(&name.to_owned()))
             });
-            assert!(declared, "sample {name} has no # TYPE line");
+            let (family, _) = family.unwrap_or_else(|| panic!("sample {name} has no # TYPE line"));
+            // A histogram bucket's `le` is not a series label.
+            let labelled = id.split_once('{').is_some_and(|(_, labels)| {
+                let labels = labels.trim_end_matches('}');
+                labels.split(',').any(|l| !l.starts_with("le="))
+            });
+            let first = *label_styles.entry(family.clone()).or_insert(labelled);
+            assert_eq!(
+                first, labelled,
+                "family {family} mixes unlabelled and labelled series"
+            );
         }
     }
     let names: Vec<String> = families.iter().map(|(n, _)| n.clone()).collect();
