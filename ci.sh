@@ -9,6 +9,9 @@ cd "$(dirname "$0")"
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc: a deleted or renamed public item must not leave a broken
+# intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --workspace --release
 # Build the test binaries first, so the time limit covers only the run:
 # the suite takes 23-32 s on a 2-core host, and a hang fails CI at 300 s

@@ -10,7 +10,6 @@
 //! repro --table 3 --jobs 8         # shard trials across 8 workers
 //! repro --all --jobs 0             # jobs 0 = all available cores
 //! repro --table 3 --resume out/    # record/skip finished jobs in out/
-//! repro --bench                    # quick executor-throughput matrix
 //! repro --chaos 2                  # robustness sweep at noise level 2
 //! repro --table 3 --deadline 120   # hard-cancel any job past 120 s
 //! repro --all --strict             # exit nonzero on any degraded cell
@@ -68,7 +67,6 @@ enum Item {
     Defenses,
     Ablations,
     Performance,
-    Bench,
     Chaos(u8),
 }
 
@@ -80,7 +78,6 @@ impl std::fmt::Display for Item {
             Item::Defenses => write!(f, "--defenses"),
             Item::Ablations => write!(f, "--ablations"),
             Item::Performance => write!(f, "--performance"),
-            Item::Bench => write!(f, "--bench"),
             Item::Chaos(l) => write!(f, "--chaos {l}"),
         }
     }
@@ -94,7 +91,7 @@ fn usage() -> ExitCode {
         "usage: repro [--trials N] [--jobs N] [--resume DIR] [--progress] [--csv DIR] \
          [--trace FILE] [--deadline SECS] [--strict] \
          (--all | --table {{1|2|3}} | --figure {{2|3|4|5|7|8}} | --defenses | --ablations | \
-         --performance | --bench | --chaos {{0..4}})..."
+         --performance | --chaos {{0..4}})..."
     );
     ExitCode::FAILURE
 }
@@ -190,7 +187,6 @@ fn parse_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
             "--defenses" => push(&mut args.items, Item::Defenses)?,
             "--ablations" => push(&mut args.items, Item::Ablations)?,
             "--performance" => push(&mut args.items, Item::Performance)?,
-            "--bench" => push(&mut args.items, Item::Bench)?,
             "--chaos" => {
                 let v = value("--chaos", &mut it)?;
                 let max = vpsec::chaos::ChaosConfig::NUM_LEVELS - 1;
@@ -216,7 +212,6 @@ fn parse_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
                     Item::Defenses,
                     Item::Ablations,
                     Item::Performance,
-                    Item::Bench,
                 ] {
                     push(&mut args.items, item)?;
                 }
@@ -370,11 +365,6 @@ fn main() -> ExitCode {
             Item::Defenses => reports::defense_report(args.trials, &args.exec),
             Item::Ablations => reports::ablation_report(args.trials, &args.exec),
             Item::Performance => vpsim_bench::workloads::performance_report(),
-            Item::Bench => {
-                // The quick matrix: the full one is `bench_pipeline`'s job.
-                let r = vpsim_bench::pipeline_bench::run_matrix(true);
-                vpsim_bench::pipeline_bench::render(&r)
-            }
             Item::Chaos(l) => {
                 // One level of the quick robustness sweep; the full
                 // all-levels report is `bench_chaos`'s job.
@@ -423,8 +413,7 @@ mod tests {
     fn minimal_invocations_parse() {
         let a = parse(&["--all"]).unwrap();
         assert_eq!(a.trials, 100);
-        assert_eq!(a.items.len(), 13);
-        assert!(a.items.contains(&Item::Bench));
+        assert_eq!(a.items.len(), 12);
         assert_eq!(a.exec.jobs, 1);
 
         let a = parse(&["--table", "3", "--trials", "30", "--jobs", "8"]).unwrap();
@@ -493,6 +482,9 @@ mod tests {
     fn unknown_flags_rejected() {
         let e = parse(&["--frobnicate"]).unwrap_err();
         assert!(e.contains("`--frobnicate`"), "{e}");
+        // The executor-throughput matrix is `bench_pipeline`'s alone.
+        let e = parse(&["--bench"]).unwrap_err();
+        assert!(e.contains("unknown argument `--bench`"), "{e}");
     }
 
     #[test]

@@ -9,26 +9,18 @@
 use std::fmt::Write as _;
 
 use vpsec::attacks::AttackCategory;
-use vpsec::experiment::{Channel, Evaluation, ExperimentConfig, PredictorKind};
+use vpsec::experiment::{Evaluation, ExperimentConfig};
 use vpsim_crypto::{leak_exponent, LeakConfig};
-use vpsim_harness::{Campaign, CampaignOutcome, CellSpec, Exec};
-use vpsim_predictor::DefenseSpec;
+use vpsim_harness::{CampaignOutcome, Exec};
 
 use crate::reports;
 
-/// Append a `#`-comment footer when the campaign ran degraded (torn
-/// manifest lines recovered, I/O faults degraded around, timeouts), so
-/// a CSV produced by a damaged run carries its own provenance note.
-/// Clean runs append nothing and the CSV stays byte-identical.
+/// Append a `#`-comment footer when the campaign ran degraded, so a CSV
+/// produced by a damaged run carries its own provenance note. Clean runs
+/// append nothing and the CSV stays byte-identical.
 fn degradation_footer(outcome: &CampaignOutcome, out: &mut String) {
-    let s = &outcome.stats;
-    if s.torn_lines + s.io_faults + s.deadline_failed + s.panics > 0 {
-        let _ = writeln!(
-            out,
-            "# degraded run: {} torn line(s) recovered, {} I/O fault(s), \
-             {} deadline failure(s), {} panic(s)",
-            s.torn_lines, s.io_faults, s.deadline_failed, s.panics
-        );
+    if let Some(note) = reports::degradation(&outcome.stats) {
+        let _ = writeln!(out, "# degraded run: {note}");
     }
 }
 
@@ -47,44 +39,30 @@ pub fn distribution_csv(e: &Evaluation) -> String {
 }
 
 /// Figure 5/8 data: the four panels of a distribution figure,
-/// `panel,channel,predictor,trial,case,cycles`.
+/// `panel,channel,predictor,trial,case,cycles`. It runs the campaign the
+/// figure's text report runs.
 ///
 /// # Panics
 ///
-/// Panics if the campaign cannot run.
+/// Panics if the campaign cannot run, or for a category the paper draws
+/// no distribution figure for.
 #[must_use]
 pub fn figure_distributions_csv(
     category: AttackCategory,
     cfg: &ExperimentConfig,
     exec: &Exec,
 ) -> String {
-    let mut out = String::from("panel,channel,predictor,trial,case,cycles\n");
-    let panels = [
-        (1, Channel::TimingWindow, PredictorKind::None),
-        (2, Channel::TimingWindow, PredictorKind::Lvp),
-        (3, Channel::Persistent, PredictorKind::None),
-        (4, Channel::Persistent, PredictorKind::Lvp),
-    ];
-    let mut campaign = Campaign::new(format!("csv_dist_{category:?}"));
-    for (panel, channel, kind) in panels {
-        campaign.push(CellSpec::new(
-            format!("{panel}"),
-            category,
-            channel,
-            kind,
-            cfg.clone(),
-        ));
-    }
-    let outcome = campaign
+    let outcome = reports::distribution_campaign(category, cfg)
         .run(exec)
         .unwrap_or_else(|e| panic!("distribution campaign: {e}"));
-    for (panel, channel, kind) in panels {
-        let Some(e) = outcome.get(&format!("{panel}")) else {
+    let mut out = String::from("panel,channel,predictor,trial,case,cycles\n");
+    for (panel, cell) in (1..).zip(outcome.cells()) {
+        let Some(e) = cell.evaluation() else {
             continue;
         };
         for (case, obs) in [("mapped", &e.mapped), ("unmapped", &e.unmapped)] {
             for (i, v) in obs.iter().enumerate() {
-                let _ = writeln!(out, "{panel},{channel},{kind},{i},{case},{v}");
+                let _ = writeln!(out, "{panel},{},{},{i},{case},{v}", e.channel, e.predictor);
             }
         }
     }
@@ -123,39 +101,21 @@ pub fn table_iii_csv(cfg: &ExperimentConfig, exec: &Exec) -> String {
     out
 }
 
-/// The §VI-B window sweeps as CSV: `category,window,pvalue`.
+/// The §VI-B window sweeps as CSV: `category,window,pvalue`. It runs
+/// the sweep campaign the defense report runs.
 ///
 /// # Panics
 ///
 /// Panics if the campaign cannot run.
 #[must_use]
 pub fn window_sweep_csv(cfg: &ExperimentConfig, exec: &Exec) -> String {
-    let mut campaign = Campaign::new("csv_window_sweep");
-    for (cat, windows) in reports::SWEEPS {
-        for &s in windows {
-            let sweep_cfg = ExperimentConfig {
-                defense: DefenseSpec {
-                    r_type: Some(s),
-                    ..DefenseSpec::none()
-                },
-                ..cfg.clone()
-            };
-            campaign.push(CellSpec::new(
-                format!("{cat}|{s}"),
-                cat,
-                Channel::TimingWindow,
-                PredictorKind::Lvp,
-                sweep_cfg,
-            ));
-        }
-    }
-    let outcome = campaign
+    let outcome = reports::window_sweep_campaign(cfg)
         .run(exec)
         .unwrap_or_else(|e| panic!("sweep campaign: {e}"));
     let mut out = String::from("category,window,pvalue\n");
     for (cat, windows) in reports::SWEEPS {
         for &s in windows {
-            match outcome.try_eval(&format!("{cat}|{s}")) {
+            match outcome.try_eval(&reports::sweep_cell(cat, s)) {
                 Ok(e) => {
                     let _ = writeln!(out, "{cat},{s},{:.6}", e.ttest.p_value);
                 }
@@ -191,7 +151,7 @@ pub fn figure_7_csv(bits: usize, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpsec::experiment::evaluate;
+    use vpsec::experiment::{evaluate, Channel, PredictorKind};
 
     fn cfg() -> ExperimentConfig {
         ExperimentConfig {

@@ -376,8 +376,7 @@ fn run_matrix_with(quick: bool, traced: bool) -> BenchReport {
     Report::new(quick, cells)
 }
 
-/// Render the human-readable table printed by `bench_pipeline` and
-/// `repro --bench`.
+/// Render the human-readable table printed by `bench_pipeline`.
 #[must_use]
 pub fn render(report: &BenchReport) -> String {
     let mut out = String::from("Pipeline executor throughput (event-driven scheduler):\n\n");

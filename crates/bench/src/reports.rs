@@ -25,11 +25,11 @@ use vpsec::model::enumerate;
 use vpsec::receiver::{transmit, ReceiverConfig};
 use vpsec::{defense, taxonomy};
 use vpsim_crypto::{leak_exponent, LeakConfig, Mpi};
-use vpsim_harness::{Campaign, CampaignOutcome, CellSpec, Exec};
+use vpsim_harness::{Campaign, CampaignOutcome, CampaignStats, CellSpec, Exec};
 use vpsim_predictor::{DefenseSpec, IndexConfig, LoadContext, Lvp, LvpConfig, ValuePredictor};
 
-// `IndexConfig` is used both for the index-truncation microbenchmark and
-// the pid-indexing experiment below.
+// `IndexConfig` is used both for the index-truncation ablation and the
+// pid-indexing experiment below.
 use vpsim_stats::Histogram;
 
 /// Default experiment configuration with the given trial count.
@@ -49,22 +49,24 @@ fn verdict(p: f64) -> &'static str {
     }
 }
 
-/// Append a one-line supervision note when the campaign ran degraded:
-/// cancellations, deadline failures, torn manifest lines recovered on
-/// resume, sink I/O faults degraded around, or worker-process crashes
-/// contained by the fleet supervisor. Clean runs add nothing, so golden
-/// report texts are unchanged.
+/// The counts that make a run degraded ([`CampaignStats::is_clean`]) as
+/// one line, or `None` for a clean run. The line carries no wall-clock
+/// field, so a degraded report is still a function of its inputs.
+pub(crate) fn degradation(s: &CampaignStats) -> Option<String> {
+    (!s.is_clean()).then(|| {
+        format!(
+            "{} failed cell(s), {} panic(s), {} deadline failure(s), \
+             {} torn line(s) recovered, {} I/O fault(s)",
+            s.failed_cells, s.panics, s.deadline_failed, s.torn_lines, s.io_faults
+        )
+    })
+}
+
+/// Append the one-line supervision note when the campaign ran degraded.
+/// Clean runs add nothing, so golden report texts are unchanged.
 fn supervision_note(outcome: &CampaignOutcome, out: &mut String) {
-    let s = &outcome.stats;
-    let degraded = s.cancelled
-        + s.deadline_failed
-        + s.torn_lines
-        + s.io_faults
-        + s.panics
-        + s.worker_crashes
-        + s.worker_respawns;
-    if degraded > 0 {
-        let _ = writeln!(out, "  [supervision] {s}");
+    if let Some(note) = degradation(&outcome.stats) {
+        let _ = writeln!(out, "  [supervision] {note}");
     }
 }
 
@@ -423,47 +425,58 @@ fn panel(title: &str, e: &Evaluation) -> String {
     out
 }
 
-fn distribution_figure(
-    name: &str,
-    campaign_name: &str,
-    category: AttackCategory,
-    trials: usize,
-    exec: &Exec,
-) -> String {
-    let cfg = config(trials);
+/// The four panels of a Figure 5/8-style distribution plot.
+const PANELS: [(&str, Channel, PredictorKind); 4] = [
+    (
+        "(1) Timing-Window Channel (no VP)",
+        Channel::TimingWindow,
+        PredictorKind::None,
+    ),
+    (
+        "(2) Timing-Window Channel (LVP)",
+        Channel::TimingWindow,
+        PredictorKind::Lvp,
+    ),
+    (
+        "(3) Persistent Channel (no VP)",
+        Channel::Persistent,
+        PredictorKind::None,
+    ),
+    (
+        "(4) Persistent Channel (LVP)",
+        Channel::Persistent,
+        PredictorKind::Lvp,
+    ),
+];
+
+/// Build a distribution figure's campaign, one cell per [`PANELS`]
+/// entry: `fig5` for Train+Test, `fig8` for Test+Hit. Shared by the
+/// text report and the CSV export so both reduce the same jobs.
+///
+/// # Panics
+///
+/// Panics for a category the paper draws no distribution figure for.
+pub(crate) fn distribution_campaign(category: AttackCategory, cfg: &ExperimentConfig) -> Campaign {
+    let name = match category {
+        AttackCategory::TrainTest => "fig5",
+        AttackCategory::TestHit => "fig8",
+        other => panic!("the paper draws no distribution figure for {other}"),
+    };
+    let mut campaign = Campaign::new(name);
+    for (title, channel, kind) in PANELS {
+        campaign.push(CellSpec::new(title, category, channel, kind, cfg.clone()));
+    }
+    campaign
+}
+
+fn distribution_figure(name: &str, category: AttackCategory, trials: usize, exec: &Exec) -> String {
     let mut out = format!(
         "{name}: timing distributions, {trials} trials per case\n(mapped = '#', unmapped = '-')\n\n"
     );
-    let cases = [
-        (
-            "(1) Timing-Window Channel (no VP)",
-            Channel::TimingWindow,
-            PredictorKind::None,
-        ),
-        (
-            "(2) Timing-Window Channel (LVP)",
-            Channel::TimingWindow,
-            PredictorKind::Lvp,
-        ),
-        (
-            "(3) Persistent Channel (no VP)",
-            Channel::Persistent,
-            PredictorKind::None,
-        ),
-        (
-            "(4) Persistent Channel (LVP)",
-            Channel::Persistent,
-            PredictorKind::Lvp,
-        ),
-    ];
-    let mut campaign = Campaign::new(campaign_name);
-    for (title, channel, kind) in cases {
-        campaign.push(CellSpec::new(title, category, channel, kind, cfg.clone()));
-    }
-    let outcome = campaign
+    let outcome = distribution_campaign(category, &config(trials))
         .run(exec)
         .unwrap_or_else(|e| panic!("distribution campaign: {e}"));
-    for (title, _, _) in cases {
+    for (title, _, _) in PANELS {
         match outcome.try_eval(title) {
             Ok(e) => {
                 out.push_str(&panel(title, e));
@@ -484,7 +497,6 @@ fn distribution_figure(
 pub fn figure_5(trials: usize, exec: &Exec) -> String {
     distribution_figure(
         "Figure 5 (Train + Test)",
-        "fig5",
         AttackCategory::TrainTest,
         trials,
         exec,
@@ -496,7 +508,6 @@ pub fn figure_5(trials: usize, exec: &Exec) -> String {
 pub fn figure_8(trials: usize, exec: &Exec) -> String {
     distribution_figure(
         "Figure 8 (Test + Hit)",
-        "fig8",
         AttackCategory::TestHit,
         trials,
         exec,
@@ -584,11 +595,11 @@ pub(crate) const SWEEPS: [(AttackCategory, &[u64]); 2] = [
     (AttackCategory::TestHit, &[1, 3, 5, 7, 8, 9, 10, 11]),
 ];
 
-/// Build the §VI-B campaign: the R-type window sweeps plus the defense
-/// matrix over every category and channel. Shared with the CSV export.
-#[must_use]
-pub fn defense_campaign(base: &ExperimentConfig) -> Campaign {
-    let mut campaign = Campaign::new("defenses");
+/// Build the §VI-B R-type window sweep campaign: each [`SWEEPS`] window
+/// against its category on the timing-window channel with the LVP.
+/// Shared by the text report and the CSV export.
+pub(crate) fn window_sweep_campaign(base: &ExperimentConfig) -> Campaign {
+    let mut campaign = Campaign::new("window_sweep");
     for (cat, windows) in SWEEPS {
         for &s in windows {
             let cfg = ExperimentConfig {
@@ -599,7 +610,7 @@ pub fn defense_campaign(base: &ExperimentConfig) -> Campaign {
                 ..base.clone()
             };
             campaign.push(CellSpec::new(
-                format!("sweep|{cat}|{s}"),
+                sweep_cell(cat, s),
                 cat,
                 Channel::TimingWindow,
                 PredictorKind::Lvp,
@@ -607,6 +618,19 @@ pub fn defense_campaign(base: &ExperimentConfig) -> Campaign {
             ));
         }
     }
+    campaign
+}
+
+/// The window sweep's cell for window `s` against `cat`.
+pub(crate) fn sweep_cell(cat: AttackCategory, s: u64) -> String {
+    format!("{cat}|{s}")
+}
+
+/// Build the §VI-B defense-matrix campaign: the standard A/D/R defenses
+/// (R window 9) against every category and channel with the LVP.
+#[must_use]
+pub fn defense_campaign(base: &ExperimentConfig) -> Campaign {
+    let mut campaign = Campaign::new("defenses");
     for cat in AttackCategory::ALL {
         for channel in [Channel::TimingWindow, Channel::Persistent] {
             for defense in defense::standard_defenses(9) {
@@ -627,26 +651,29 @@ pub fn defense_campaign(base: &ExperimentConfig) -> Campaign {
     campaign
 }
 
-/// §VI-B: the defense evaluation — an A/D/R matrix per attack plus the
-/// R-type window sweeps whose thresholds the paper reports (3 for
-/// Train+Test, 9 for Test+Hit).
+/// §VI-B: the defense evaluation — the R-type window sweeps whose
+/// thresholds the paper reports (3 for Train+Test, 9 for Test+Hit) plus
+/// an A/D/R matrix per attack.
 ///
 /// # Panics
 ///
-/// Panics if the campaign cannot run.
+/// Panics if a campaign cannot run.
 #[must_use]
 pub fn defense_report(trials: usize, exec: &Exec) -> String {
-    let outcome = defense_campaign(&config(trials))
+    let cfg = config(trials);
+    let sweeps = window_sweep_campaign(&cfg)
+        .run(exec)
+        .unwrap_or_else(|e| panic!("window sweep campaign: {e}"));
+    let matrix = defense_campaign(&cfg)
         .run(exec)
         .unwrap_or_else(|e| panic!("defense campaign: {e}"));
     let mut out = String::from("Defense evaluation (paper §VI-B)\n\n");
-    // Window sweeps.
     for (cat, windows) in SWEEPS {
         let _ = writeln!(out, "  R-type window sweep, {cat} (timing-window):");
         let sweep: Vec<(u64, f64)> = windows
             .iter()
             .filter_map(|&s| {
-                eval_or_quarantine(&outcome, &format!("sweep|{cat}|{s}"), &mut out)
+                eval_or_quarantine(&sweeps, &sweep_cell(cat, s), &mut out)
                     .map(|e| (s, e.ttest.p_value))
             })
             .collect();
@@ -667,7 +694,7 @@ pub fn defense_report(trials: usize, exec: &Exec) -> String {
             let rows: Vec<(DefenseSpec, &Evaluation)> = defense::standard_defenses(9)
                 .into_iter()
                 .filter_map(|d| {
-                    outcome
+                    matrix
                         .get(&format!("matrix|{cat}|{channel}|{}", d.label()))
                         .map(|e| (d, e))
                 })
@@ -691,7 +718,8 @@ pub fn defense_report(trials: usize, exec: &Exec) -> String {
             }
         }
     }
-    supervision_note(&outcome, &mut out);
+    supervision_note(&sweeps, &mut out);
+    supervision_note(&matrix, &mut out);
     out
 }
 
@@ -1078,6 +1106,23 @@ mod tests {
             },
         );
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn the_degradation_note_is_a_function_of_the_counts() {
+        let stats = |wall_ms| CampaignStats {
+            jobs_total: 36,
+            jobs_run: 1,
+            jobs_resumed: 35,
+            torn_lines: 1,
+            wall_time: std::time::Duration::from_millis(wall_ms),
+            ..CampaignStats::default()
+        };
+        let (fast, slow) = (stats(3), stats(3_000));
+        assert_ne!(fast, slow);
+        assert_eq!(degradation(&fast), degradation(&slow));
+        assert!(degradation(&fast).is_some_and(|n| n.contains("1 torn line(s) recovered")));
+        assert_eq!(degradation(&CampaignStats::default()), None);
     }
 
     #[test]

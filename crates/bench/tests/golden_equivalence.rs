@@ -9,7 +9,9 @@
 //! statistics and the full commit trace. `table3.tsv` came later: it was
 //! recorded from the per-set boxed cache tag store, before the flat
 //! one, and pins every Table III pair's observation, cycles and
-//! scheduler counters.
+//! scheduler counters. `reports.tsv` was recorded before the report
+//! texts and the CSV export shared their campaign builders, and pins
+//! one digest per rendering.
 //!
 //! To re-record (only after an *intentional* semantic change):
 //!
@@ -368,6 +370,51 @@ fn table3_cells() -> Vec<CellDigest> {
     out
 }
 
+/// Every file `repro --csv` writes and the Table III, Figure 5/8 and
+/// §VI-B report texts, at 20 trials on 2 jobs: one digest of each
+/// rendering's bytes, with its line and byte counts.
+fn report_renderings() -> String {
+    use vpsim_bench::{export, reports};
+    use vpsim_harness::Exec;
+
+    let exec = Exec {
+        jobs: 2,
+        ..Exec::default()
+    };
+    let cfg = reports::config(20);
+    let renderings = [
+        (
+            "fig5_train_test.csv",
+            export::figure_distributions_csv(AttackCategory::TrainTest, &cfg, &exec),
+        ),
+        (
+            "fig8_test_hit.csv",
+            export::figure_distributions_csv(AttackCategory::TestHit, &cfg, &exec),
+        ),
+        ("table3.csv", export::table_iii_csv(&cfg, &exec)),
+        (
+            "defense_window_sweep.csv",
+            export::window_sweep_csv(&cfg, &exec),
+        ),
+        ("fig7_rsa.csv", export::figure_7_csv(60, 0x965)),
+        ("table_iii", reports::table_iii(20, &exec)),
+        ("figure_5", reports::figure_5(20, &exec)),
+        ("figure_8", reports::figure_8(20, &exec)),
+        ("defense_report", reports::defense_report(20, &exec)),
+    ];
+    let mut s = String::new();
+    for (name, text) in renderings {
+        let _ = writeln!(
+            s,
+            "{name}\t{:#018x}\tlines={}\tbytes={}",
+            fnv1a(FNV_OFFSET, text.as_bytes()),
+            text.lines().count(),
+            text.len()
+        );
+    }
+    s
+}
+
 // ---------------------------------------------------------------------
 // Fixture I/O.
 // ---------------------------------------------------------------------
@@ -470,6 +517,11 @@ fn rsa_leak_is_bit_identical() {
 #[test]
 fn table3_pairs_are_bit_identical() {
     check_or_record("table3.tsv", &render_digests(&table3_cells()));
+}
+
+#[test]
+fn report_renderings_are_byte_identical() {
+    check_or_record("reports.tsv", &report_renderings());
 }
 
 /// A complete human-readable commit trace for one small predicted-load

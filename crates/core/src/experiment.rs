@@ -602,26 +602,6 @@ pub fn evaluate(
         .unwrap_or_else(|| panic!("{category} does not support the {channel} channel"))
 }
 
-/// Evaluate every category × channel cell of Table III for one
-/// predictor, returning rows in Table III order with `None` for the
-/// unsupported cells.
-#[must_use]
-pub fn evaluate_all(
-    predictor: PredictorKind,
-    cfg: &ExperimentConfig,
-) -> Vec<(AttackCategory, Option<Evaluation>, Option<Evaluation>)> {
-    AttackCategory::ALL
-        .into_iter()
-        .map(|cat| {
-            (
-                cat,
-                try_evaluate(cat, Channel::TimingWindow, predictor, cfg),
-                try_evaluate(cat, Channel::Persistent, predictor, cfg),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -155,12 +155,6 @@ impl CampaignOutcome {
         &self.cells
     }
 
-    /// Consume into the cell results.
-    #[must_use]
-    pub fn into_cells(self) -> Vec<CellResult> {
-        self.cells
-    }
-
     /// The evaluation of the named cell, if it completed.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Evaluation> {

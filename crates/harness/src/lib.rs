@@ -2,13 +2,15 @@
 //! engine for the attack-evaluation experiments.
 //!
 //! A [`Campaign`] is a list of evaluation *cells* (attack category ×
-//! channel × predictor × [`ExperimentConfig`]); each cell expands into
-//! one independent *job* per paired trial via
+//! channel × predictor ×
+//! [`ExperimentConfig`](vpsec::experiment::ExperimentConfig)); each
+//! cell expands into one independent *job* per paired trial via
 //! `vpsec::experiment::CellPlan`. Because every job's seed is a pure
 //! function of its coordinates, the engine can run jobs on any number
 //! of worker threads in any order and still produce results
 //! bitwise-identical to a sequential run — `jobs = 1` and `jobs = 8`
-//! yield the same [`Evaluation`]s, byte for byte.
+//! yield the same [`Evaluation`](vpsec::experiment::Evaluation)s, byte
+//! for byte.
 //!
 //! On top of the job model the engine layers:
 //!
@@ -88,58 +90,3 @@ pub use sink::JobRecord;
 pub use spec::{CampaignSpec, CellCoord, Isolate, SpecError};
 pub use store::{CampaignMetrics, CampaignStats};
 pub use worker::worker_loop;
-
-use vpsec::attacks::AttackCategory;
-use vpsec::experiment::{Channel, Evaluation, ExperimentConfig, PredictorKind};
-
-/// Evaluate a single cell through the campaign engine, if the category
-/// supports the channel. A drop-in parallel replacement for
-/// `vpsec::experiment::try_evaluate`.
-///
-/// # Panics
-///
-/// Panics if the campaign cannot run (manifest mismatch or I/O error on
-/// the resume directory) or a job fails.
-#[must_use]
-pub fn try_evaluate(
-    category: AttackCategory,
-    channel: Channel,
-    predictor: PredictorKind,
-    cfg: &ExperimentConfig,
-    exec: &Exec,
-) -> Option<Evaluation> {
-    let mut campaign = Campaign::new("adhoc");
-    let name = format!("{category}/{channel}/{predictor}/{}", cfg.defense.label());
-    campaign.push(CellSpec::new(
-        &name,
-        category,
-        channel,
-        predictor,
-        cfg.clone(),
-    ));
-    let outcome = campaign
-        .run(exec)
-        .unwrap_or_else(|e| panic!("adhoc campaign: {e}"));
-    match outcome.into_cells().pop().expect("one cell").outcome {
-        CellOutcome::Evaluated(e) => Some(e),
-        CellOutcome::Unsupported => None,
-        CellOutcome::Failed(err) => panic!("cell {name} failed: {err}"),
-    }
-}
-
-/// [`try_evaluate`] for cells known to support the channel.
-///
-/// # Panics
-///
-/// Panics if `category` does not support `channel`.
-#[must_use]
-pub fn evaluate(
-    category: AttackCategory,
-    channel: Channel,
-    predictor: PredictorKind,
-    cfg: &ExperimentConfig,
-    exec: &Exec,
-) -> Evaluation {
-    try_evaluate(category, channel, predictor, cfg, exec)
-        .unwrap_or_else(|| panic!("{category} does not support the {channel} channel"))
-}

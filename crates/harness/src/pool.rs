@@ -251,7 +251,7 @@ mod tests {
     use vpsec::attacks::AttackCategory;
     use vpsec::experiment::{Channel, ExperimentConfig, PredictorKind};
 
-    use crate::Exec;
+    use crate::{Campaign, CellSpec, Exec};
 
     /// Milliseconds every waiter sleeps, lock held, between deciding to
     /// wait and waiting.
@@ -278,9 +278,16 @@ mod tests {
                 jobs: 2,
                 ..Exec::default()
             };
-            let (category, channel) = (AttackCategory::TrainTest, Channel::TimingWindow);
-            let eval = crate::evaluate(category, channel, PredictorKind::Lvp, &cfg, &exec);
-            let _ = tx.send(eval.mapped.len());
+            let mut campaign = Campaign::new("wakeup");
+            campaign.push(CellSpec::new(
+                "cell",
+                AttackCategory::TrainTest,
+                Channel::TimingWindow,
+                PredictorKind::Lvp,
+                cfg,
+            ));
+            let outcome = campaign.run(&exec).expect("no resume directory to fail");
+            let _ = tx.send(outcome.expect_eval("cell").mapped.len());
         });
         let observed = rx.recv_timeout(Duration::from_secs(60));
         WAIT_DELAY_MS.store(0, Ordering::Relaxed);

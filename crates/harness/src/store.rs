@@ -168,16 +168,11 @@ impl CampaignMetrics {
         self.stats_since(&[0; COUNTERS.len()])
     }
 
-    /// The `--strict` view: no failed cell, panic, deadline failure,
-    /// torn manifest line or I/O fault was ever counted. Wall
-    /// quarantines that still produced a result and contained worker
-    /// crashes are operational events, not result defects: a relocated
-    /// job recomputes the identical result, and a cell lost to crashes
-    /// counts as failed.
+    /// The `--strict` view: [`CampaignStats::is_clean`] over everything
+    /// the store counted.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        let t = self.totals();
-        t.failed_cells + t.panics + t.deadline_failed + t.torn_lines + t.io_faults == 0
+        self.totals().is_clean()
     }
 }
 
@@ -228,6 +223,19 @@ pub struct CampaignStats {
     /// Scheduler work counters summed over all completed jobs (resumed
     /// included — the manifest rows carry them).
     pub sched: SchedStats,
+}
+
+impl CampaignStats {
+    /// No failed cell, panic, deadline failure, torn manifest line or
+    /// I/O fault was counted. Wall quarantines that still produced a
+    /// result and contained worker crashes are operational events, not
+    /// result defects: a relocated job recomputes the identical result,
+    /// and a cell lost to crashes counts as failed.
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        self.failed_cells + self.panics + self.deadline_failed + self.torn_lines + self.io_faults
+            == 0
+    }
 }
 
 impl fmt::Display for CampaignStats {

@@ -98,18 +98,21 @@ fn engine_matches_sequential_try_evaluate() {
         &c,
     )
     .unwrap();
-    let engine = vpsim_harness::try_evaluate(
+    let mut campaign = Campaign::new("adhoc");
+    campaign.push(CellSpec::new(
+        "train_test/tw/lvp",
         AttackCategory::TrainTest,
         Channel::TimingWindow,
         PredictorKind::Lvp,
-        &c,
-        &Exec {
+        c,
+    ));
+    let engine = campaign
+        .run(&Exec {
             jobs: 4,
             ..Exec::default()
-        },
-    )
-    .unwrap();
-    assert_bitwise_eq(&direct, &engine);
+        })
+        .unwrap();
+    assert_bitwise_eq(&direct, engine.expect_eval("train_test/tw/lvp"));
 }
 
 #[test]

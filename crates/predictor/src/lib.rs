@@ -17,7 +17,7 @@
 //! * [`Lvp`] — the classic last-value predictor (Lipasti, Wilkerson &
 //!   Shen, ASPLOS 1996), the paper's baseline "(non-secure) LVP";
 //! * [`Stride`] — a 2-delta stride predictor (an extension beyond the
-//!   paper's evaluation, exercised by the ablation benches);
+//!   paper's evaluation, swept by `repro --ablations`);
 //! * [`Fcm`] — a two-level finite context method predictor built on the
 //!   `VHist` value history (extension; catches repeating sequences);
 //! * [`Vtage`] — a simplified VTAGE (Perais & Seznec, HPCA 2014) with a

@@ -1,12 +1,13 @@
 //! A 2-delta stride value predictor.
 //!
-//! An extension beyond the paper's LVP/VTAGE evaluation, used by the
-//! `ablate_predictor_kind` bench: it predicts `last_value + stride` once
-//! the same stride has been observed twice (the classic "2-delta" filter)
-//! *and* the confidence threshold is met. For constant values the stride
-//! is zero and the predictor degenerates to an LVP, so every attack that
-//! works on an LVP also works here — demonstrating the paper's point that
-//! the leak is a property of the VPS concept, not one predictor design.
+//! An extension beyond the paper's LVP/VTAGE evaluation, swept by the
+//! predictor-type ablation of `repro --ablations`: it predicts
+//! `last_value + stride` once the same stride has been observed twice
+//! (the classic "2-delta" filter) *and* the confidence threshold is
+//! met. For constant values the stride is zero and the predictor
+//! degenerates to an LVP, so every attack that works on an LVP also
+//! works here — demonstrating the paper's point that the leak is a
+//! property of the VPS concept, not one predictor design.
 
 use std::collections::HashMap;
 

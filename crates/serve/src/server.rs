@@ -114,7 +114,7 @@ impl DaemonMetrics {
             ),
             campaigns_done: r.counter(
                 "vpsim_campaigns_done_total",
-                "campaigns completed since start",
+                "campaigns completed since start (replays that ran no job excluded)",
                 &[],
             ),
             jobs_queued: r.gauge(
@@ -453,7 +453,12 @@ fn run_campaign(inner: &Arc<Inner>, entry: &Arc<Entry>) {
             let state = if entry.state() == CampaignState::Cancelled {
                 CampaignState::Cancelled
             } else {
-                inner.metrics.campaigns_done.inc();
+                // A restart replays every finished campaign from its
+                // manifest: count a campaign only when this daemon ran
+                // one of its jobs.
+                if outcome.stats.jobs_run > 0 {
+                    inner.metrics.campaigns_done.inc();
+                }
                 CampaignState::Done
             };
             entry.set_state(state);

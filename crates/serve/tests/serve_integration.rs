@@ -169,14 +169,14 @@ fn graceful_restart_resumes_and_streams_identical_payloads() {
     // Reference: the same spec run to completion without interruption
     // in a separate daemon with its own state directory.
     let ref_state = temp_dir("restart-ref");
-    let reference = {
+    let (ref_id, reference) = {
         let server = start(&ref_state, 1, 2);
         let addr = server.addr().to_string();
         let id = submit(&addr, &spec_json("phoenix", 40));
         let lines = collect_stream(&addr, id);
         server.shutdown();
         server.join();
-        lines
+        (id, lines)
     };
 
     // Interrupted run: shut the daemon down while the campaign is
@@ -204,6 +204,26 @@ fn graceful_restart_resumes_and_streams_identical_payloads() {
         assert!(seen.insert((cell, trial)), "duplicate result {line:?}");
     }
     assert_eq!(seen.len(), 80, "40 trials x 2 cells, no lost cells");
+
+    server.shutdown();
+    server.join();
+
+    // Restarting on the reference's finished state replays the whole
+    // campaign from its manifest: the same stream, and no campaign
+    // counted as completed by a daemon that ran none of its jobs.
+    let server = start(&ref_state, 1, 2);
+    let addr = server.addr().to_string();
+    assert_eq!(
+        collect_stream(&addr, ref_id),
+        reference,
+        "a replayed campaign must stream byte-identical results"
+    );
+    let r = client::request(&addr, "GET", "/metrics", None).unwrap();
+    assert!(
+        r.body.contains("\nvpsim_campaigns_done_total 0\n"),
+        "a replay is not a completed campaign: {}",
+        r.body
+    );
 
     server.shutdown();
     server.join();
