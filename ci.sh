@@ -147,13 +147,16 @@ rm -rf "$FLEET_TMP"
 
 # Benchmark smoke: campaign_bench is its own workspace, so nothing above
 # compiles it. Build and test it, then run every workload briefly and
-# table3 once traced; each run exits nonzero when an output check fails
-# (bit-exact campaigns, every RSA bit recovered, and in the traced run
-# every replayed job equal to CellPlan::run_pair).
+# table3 and rsa_leak once traced; each run exits nonzero when an output
+# check fails (bit-exact campaigns, every RSA bit recovered, and in the
+# traced runs every replayed job equal to CellPlan::run_pair and every
+# replayed leak equal to leak_exponent's, bit for bit).
 cargo test --release -q --manifest-path campaign_bench/Cargo.toml
 cargo run --quiet --release --manifest-path campaign_bench/Cargo.toml -- \
     --workload all --seconds 1 --trace 0 > /dev/null
 cargo run --quiet --release --manifest-path campaign_bench/Cargo.toml -- \
     --workload table3 --seconds 1 --trace 1 > /dev/null
+cargo run --quiet --release --manifest-path campaign_bench/Cargo.toml -- \
+    --workload rsa_leak --seconds 1 --trace 1 > /dev/null
 
 echo "ci: all checks passed"

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use vpsec::attacks::AttackCategory;
-use vpsec::experiment::{Evaluation, ExperimentConfig};
+use vpsec::experiment::ExperimentConfig;
 use vpsim_crypto::{leak_exponent, LeakConfig};
 use vpsim_harness::{CampaignOutcome, Exec};
 
@@ -22,20 +22,6 @@ fn degradation_footer(outcome: &CampaignOutcome, out: &mut String) {
     if let Some(note) = reports::degradation(&outcome.stats) {
         let _ = writeln!(out, "# degraded run: {note}");
     }
-}
-
-/// Raw mapped/unmapped observations of one evaluation: one row per
-/// trial, `trial,case,cycles`.
-#[must_use]
-pub fn distribution_csv(e: &Evaluation) -> String {
-    let mut out = String::from("trial,case,cycles\n");
-    for (i, v) in e.mapped.iter().enumerate() {
-        let _ = writeln!(out, "{i},mapped,{v}");
-    }
-    for (i, v) in e.unmapped.iter().enumerate() {
-        let _ = writeln!(out, "{i},unmapped,{v}");
-    }
-    out
 }
 
 /// Figure 5/8 data: the four panels of a distribution figure,
@@ -151,29 +137,12 @@ pub fn figure_7_csv(bits: usize, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpsec::experiment::{evaluate, Channel, PredictorKind};
 
     fn cfg() -> ExperimentConfig {
         ExperimentConfig {
             trials: 6,
             ..ExperimentConfig::default()
         }
-    }
-
-    #[test]
-    fn distribution_csv_shape() {
-        let e = evaluate(
-            AttackCategory::FillUp,
-            Channel::TimingWindow,
-            PredictorKind::Lvp,
-            &cfg(),
-        );
-        let csv = distribution_csv(&e);
-        assert!(csv.starts_with("trial,case,cycles\n"));
-        // Header + 6 mapped + 6 unmapped.
-        assert_eq!(csv.lines().count(), 1 + 12);
-        assert!(csv.contains(",mapped,"));
-        assert!(csv.contains(",unmapped,"));
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub enum CellError {
         message: String,
     },
     /// A job of the cell was cancelled by the supervisor on its final
-    /// attempt (hard [`Exec::job_deadline`](crate::Exec) or campaign
-    /// deadline budget exhausted).
+    /// attempt (hard [`Exec::job_deadline`](crate::Exec)), or drained
+    /// when the campaign expired ([`Exec::cancel`](crate::Exec)).
     JobTimedOut {
         /// Trial index of the cancelled job.
         trial: usize,

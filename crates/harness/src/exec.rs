@@ -52,29 +52,26 @@ pub trait JobObserver: Send + Sync + std::fmt::Debug {
 }
 
 /// How a [`Campaign`](crate::Campaign) executes: worker count, resume
-/// directory, observability, the job budgets, and the supervision plane
-/// (hard deadlines, backoff, sink I/O).
+/// directory, observability, and the supervision plane (hard deadlines,
+/// external cancellation, sink I/O).
 ///
 /// The execution policy never changes *what* a campaign computes — only
 /// how fast, how observably, and how fault-tolerantly. Results are
 /// bitwise-identical for every `jobs` value.
 ///
-/// Two distinct overrun planes coexist:
-///
-/// * **soft** ([`Exec::job_wall_budget`]): the job is left to finish,
-///   its result is discarded, and it is retried — the legacy
-///   quarantine path, right when overruns are mild host contention;
-/// * **hard** ([`Exec::job_deadline`]): the supervisor trips the job's
-///   [`CancelToken`](vpsim_pipeline::CancelToken) mid-simulation, so a
-///   genuinely hung job is abandoned with bounded latency. Retried
-///   attempts get a doubled deadline ([`Exec::retry_backoff`] spacing);
-///   a cancelled final attempt fails the cell as timed out.
+/// There is one overrun policy, the hard [`Exec::job_deadline`]: the
+/// supervisor trips an overdue attempt's
+/// [`CancelToken`](vpsim_pipeline::CancelToken) mid-simulation, so a
+/// hung job is abandoned with bounded latency, and the job retries
+/// once behind a backoff gate with a doubled deadline; a cancelled
+/// final attempt fails the cell as timed out. A finished attempt is
+/// always kept, however long it ran.
 #[derive(Debug, Clone)]
 pub struct Exec {
     /// Worker threads, spawned per run while the calling thread
-    /// supervises; `0` resolves to the machine's available parallelism.
-    /// The process backend sizes its fleet from [`FleetConfig::workers`]
-    /// instead.
+    /// supervises; `0` resolves to the machine's available parallelism,
+    /// and a run never starts more than its pending jobs. The process
+    /// backend sizes its fleet from [`FleetConfig::workers`] instead.
     pub jobs: usize,
     /// Directory for the resumable manifest. When set, every finished
     /// job is appended to `<dir>/<campaign-name>.jsonl` as it completes,
@@ -83,42 +80,20 @@ pub struct Exec {
     pub resume: Option<PathBuf>,
     /// Print live progress/throughput lines to stderr.
     pub progress: bool,
-    /// Wall-clock budget per job (soft). A job still running past the
-    /// budget is quarantined: its eventual result is discarded and the
-    /// job is retried (the overrun may be host contention), up to
-    /// [`Exec::max_retries`] times; the final attempt's result is used
-    /// regardless, since job outputs are deterministic.
-    pub job_wall_budget: Duration,
-    /// Retries granted to wall-budget-quarantined and
-    /// deadline-cancelled jobs.
-    pub max_retries: u32,
-    /// Simulated-cycle budget per job. A job whose pair consumes more
-    /// simulated cycles is flagged as a runaway in the campaign stats
-    /// (cycle counts are deterministic, so it is never retried).
-    pub cycle_budget: u64,
     /// Hard per-job deadline. When set, the supervisor trips the running
     /// attempt's cancel token once it exceeds `deadline << attempt`
     /// (doubling per retry), aborting the simulation mid-run instead of
-    /// waiting for it. `None` (the default) keeps the legacy
-    /// quarantine-on-completion behaviour only.
+    /// waiting for it. `None` (the default) lets every attempt finish.
     pub job_deadline: Option<Duration>,
-    /// Per-campaign wall-clock budget. When exceeded, the supervisor
-    /// cancels every in-flight job and the remaining queue drains as
-    /// timed-out failures — the campaign still returns a complete
-    /// (partially failed) outcome rather than hanging.
-    pub campaign_deadline: Option<Duration>,
-    /// Base spacing for deadline-retry backoff: attempt `k` is held
-    /// back `retry_backoff * 2^k` before re-entering the queue.
-    pub retry_backoff: Duration,
     /// The sink I/O plane the manifest writes through. `None` uses the
     /// real filesystem; the torture suite injects a
     /// [`FaultyIo`](crate::FaultyIo) here.
     pub sink_io: Option<Arc<dyn SinkIo>>,
     /// External cancellation: when the token trips, the supervisor
     /// cancels every in-flight job and drains the remaining queue as
-    /// timed-out failures — the same graceful teardown as
-    /// [`Exec::campaign_deadline`], but on demand (serving-plane
-    /// `cancel` requests, daemon shutdown).
+    /// timed-out failures, so the campaign still returns a complete
+    /// (partially failed) outcome (serving-plane `cancel` requests,
+    /// daemon shutdown).
     pub cancel: Option<CancelToken>,
     /// When set, every job completion is reported to this observer as
     /// it happens — the serving plane streams results from here.
@@ -143,12 +118,7 @@ impl Default for Exec {
             jobs: 1,
             resume: None,
             progress: false,
-            job_wall_budget: Duration::from_secs(60),
-            max_retries: 1,
-            cycle_budget: u64::MAX,
             job_deadline: None,
-            campaign_deadline: None,
-            retry_backoff: Duration::from_millis(25),
             sink_io: None,
             cancel: None,
             observer: None,
@@ -158,55 +128,17 @@ impl Default for Exec {
     }
 }
 
-impl Exec {
-    /// An execution policy using every available core.
-    #[must_use]
-    pub fn parallel() -> Self {
-        Exec {
-            jobs: 0,
-            ..Exec::default()
-        }
-    }
-
-    /// The resolved worker count (`0` → available parallelism).
-    #[must_use]
-    pub fn effective_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.jobs
-        }
-    }
-
-    /// The hard deadline granted to attempt `attempt` (zero-based):
-    /// [`Exec::job_deadline`] doubled per retry, saturating. `None`
-    /// when no hard deadline is configured.
-    #[must_use]
-    pub fn deadline_for_attempt(&self, attempt: u32) -> Option<Duration> {
-        let base = self.job_deadline?;
-        Some(base.saturating_mul(1u32 << attempt.min(16)))
-    }
-
-    /// The backoff delay before re-queueing attempt `attempt`
-    /// (zero-based attempt number of the attempt *about to run*).
-    #[must_use]
-    pub fn backoff_for_attempt(&self, attempt: u32) -> Duration {
-        self.retry_backoff.saturating_mul(1u32 << attempt.min(16))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::lane_count;
 
     #[test]
     fn default_is_sequential() {
         let e = Exec::default();
         assert_eq!(e.jobs, 1);
-        assert_eq!(e.effective_jobs(), 1);
         assert!(e.resume.is_none());
         assert!(e.job_deadline.is_none());
-        assert!(e.campaign_deadline.is_none());
         assert!(e.sink_io.is_none());
         assert!(e.cancel.is_none());
         assert!(e.observer.is_none());
@@ -216,30 +148,13 @@ mod tests {
 
     #[test]
     fn zero_jobs_resolves_to_at_least_one() {
-        assert!(Exec::parallel().effective_jobs() >= 1);
-    }
-
-    #[test]
-    fn deadlines_double_per_attempt_and_saturate() {
         let e = Exec {
-            job_deadline: Some(Duration::from_millis(100)),
+            jobs: 0,
             ..Exec::default()
         };
-        assert_eq!(e.deadline_for_attempt(0), Some(Duration::from_millis(100)));
-        assert_eq!(e.deadline_for_attempt(1), Some(Duration::from_millis(200)));
-        assert_eq!(e.deadline_for_attempt(2), Some(Duration::from_millis(400)));
-        // Huge attempt numbers must not overflow.
-        assert!(e.deadline_for_attempt(u32::MAX).is_some());
-        assert_eq!(Exec::default().deadline_for_attempt(0), None);
-    }
-
-    #[test]
-    fn backoff_doubles_per_attempt() {
-        let e = Exec {
-            retry_backoff: Duration::from_millis(10),
-            ..Exec::default()
-        };
-        assert_eq!(e.backoff_for_attempt(0), Duration::from_millis(10));
-        assert_eq!(e.backoff_for_attempt(3), Duration::from_millis(80));
+        assert!(lane_count(e.jobs, 100) >= 1);
+        assert_eq!(lane_count(e.jobs, 1), 1);
+        // Never more threads than jobs to run.
+        assert_eq!(lane_count(100_000, 3), 3);
     }
 }

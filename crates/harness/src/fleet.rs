@@ -16,7 +16,7 @@
 //! * **Liveness is observed, not assumed.** Workers heartbeat on a
 //!   fixed cadence from a dedicated thread; a worker silent past
 //!   [`FleetConfig::heartbeat_timeout`] is killed and settled as a
-//!   crash. A cancel (hard job deadline, campaign expiry) escalates to a
+//!   crash. A cancel (hard job deadline, expiry) escalates to a
 //!   kill after [`FleetConfig::kill_grace`], but settles as cancelled,
 //!   so a slow cancel never counts toward poisoning.
 
@@ -40,7 +40,7 @@ const TICK: Duration = Duration::from_millis(25);
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker processes. `0` resolves to the machine's available
-    /// parallelism.
+    /// parallelism, and a run never starts more than its pending jobs.
     pub workers: usize,
     /// Command line to launch one worker (`[program, args...]`).
     /// `None` re-execs the current executable with `--worker-loop`,
@@ -84,19 +84,6 @@ impl Default for FleetConfig {
             kill_grace: Duration::from_secs(2),
             pids: None,
         }
-    }
-}
-
-impl FleetConfig {
-    /// The resolved fleet size (`0` → available parallelism), never
-    /// larger than the number of pending jobs.
-    fn effective_workers(&self, pending: usize) -> usize {
-        let n = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.workers
-        };
-        n.clamp(1, pending.max(1))
     }
 }
 
@@ -386,11 +373,10 @@ pub(crate) fn run_jobs(
     spec_json: &str,
     on_done: &OnDone<'_>,
 ) -> Vec<Option<JobResult>> {
-    let workers = cfg.effective_workers(batch.pending.len());
     run_lanes(
         batch,
         exec,
-        workers,
+        cfg.workers,
         cfg.poison_threshold,
         on_done,
         &|lane| {
@@ -411,6 +397,21 @@ pub(crate) fn run_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::lane_count;
+
+    #[test]
+    fn fleet_size_resolves_and_is_capped_by_pending_work() {
+        let auto = FleetConfig::default();
+        assert!(lane_count(auto.workers, 100) >= 1);
+        let four = FleetConfig {
+            workers: 4,
+            ..FleetConfig::default()
+        };
+        assert_eq!(lane_count(four.workers, 100), 4);
+        // Never more processes than jobs to run.
+        assert_eq!(lane_count(four.workers, 2), 2);
+        assert_eq!(lane_count(four.workers, 0), 0);
+    }
 
     #[test]
     fn respawn_gates_grow_exponentially_and_saturate() {
@@ -422,19 +423,5 @@ mod tests {
         assert_eq!(respawn_gate(&cfg, 3), Duration::from_millis(80));
         // Caps at 2^8 — a slot that keeps dying waits seconds, not years.
         assert_eq!(respawn_gate(&cfg, 40), Duration::from_millis(10 * 256));
-    }
-
-    #[test]
-    fn fleet_size_resolves_and_is_capped_by_pending_work() {
-        let auto = FleetConfig::default();
-        assert!(auto.effective_workers(100) >= 1);
-        let four = FleetConfig {
-            workers: 4,
-            ..FleetConfig::default()
-        };
-        assert_eq!(four.effective_workers(100), 4);
-        // Never more processes than jobs to run.
-        assert_eq!(four.effective_workers(2), 2);
-        assert_eq!(four.effective_workers(0), 1);
     }
 }

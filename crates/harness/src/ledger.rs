@@ -14,20 +14,20 @@
 //!
 //! * a panic would recur on every retry, so a panicking job fails at
 //!   once;
-//! * a *wall-time* overrun may be host contention, so the job is
-//!   quarantined and retried up to [`Exec::max_retries`] times; the
-//!   final attempt's result is used regardless;
-//! * a simulated-cycle overrun is deterministic: flagged, not retried;
+//! * a finished attempt is kept however long it ran: its result is the
+//!   same on any retry, and `CoreConfig::max_cycles` already turns a
+//!   runaway simulation into a panic;
 //! * an attempt past its hard deadline ([`Exec::job_deadline`]) is
-//!   cancelled and re-queued behind an exponential backoff gate; a
-//!   cancelled final attempt fails as a deadline;
+//!   cancelled and re-queued behind an exponential backoff gate, up to
+//!   [`MAX_RETRIES`] times; a cancelled final attempt fails as a
+//!   deadline;
 //! * a job whose worker process dies re-enters the *front* of the
 //!   queue for its slot's next worker, with its attempt unchanged (a
 //!   crash is not a retry), and K crashes of the same coordinate
 //!   quarantine it as poisoned;
-//! * campaign expiry ([`Exec::campaign_deadline`] or [`Exec::cancel`])
-//!   drains the queue as deadline failures and cancels every in-flight
-//!   attempt, so every pending job always resolves.
+//! * expiry ([`Exec::cancel`], or every lane stopped) drains the queue
+//!   as deadline failures and cancels every in-flight attempt, so every
+//!   pending job always resolves.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,6 +46,19 @@ const CANCEL_POLL: Duration = Duration::from_millis(50);
 
 /// Cadence of the progress line ([`Exec::progress`]).
 const REPORT_EVERY: Duration = Duration::from_secs(1);
+
+/// Retries granted to a job cancelled past its hard deadline.
+const MAX_RETRIES: u32 = 1;
+
+/// Backoff before a cancelled attempt re-enters the queue, doubled per
+/// attempt.
+const RETRY_BACKOFF: Duration = Duration::from_millis(25);
+
+/// `base` doubled once per earlier attempt of the job (zero-based
+/// `attempt`), saturating: the hard deadline and the retry backoff.
+fn doubled(base: Duration, attempt: u32) -> Duration {
+    base.saturating_mul(1u32 << attempt.min(16))
+}
 
 /// The work a single run executes: the campaign's cell plans, the
 /// still-pending jobs as `(cell, trial)`, the job counts the progress
@@ -210,7 +223,7 @@ impl<'a> Ledger<'a> {
             started: now,
             last_report: now,
         };
-        ledger.expire_if_due(now);
+        ledger.expire_if_cancelled();
         ledger
     }
 
@@ -235,7 +248,7 @@ impl<'a> Ledger<'a> {
         };
         job.pinned = None;
         let token = CancelToken::new();
-        let deadline = self.exec.deadline_for_attempt(job.attempt);
+        let deadline = self.exec.job_deadline.map(|d| doubled(d, job.attempt));
         self.slots[slot] = Some(Attempt {
             job,
             deadline: deadline.and_then(|d| now.checked_add(d)),
@@ -270,25 +283,9 @@ impl<'a> Ledger<'a> {
         let job = self.slots[slot].take()?.job;
         match outcome {
             Outcome::Done { pair, wall_nanos } => {
-                let wall = Duration::from_nanos(wall_nanos);
-                self.metrics.observe(Phase::Run, wall);
-                if wall > self.exec.job_wall_budget {
-                    self.metrics.inc(Count::WallQuarantined);
-                    // Past expiry nothing re-enters the queue: keep the result.
-                    if job.attempt < self.exec.max_retries && !self.expired {
-                        self.metrics.inc(Count::WallRetries);
-                        self.queue.push_back(Queued {
-                            attempt: job.attempt + 1,
-                            not_before: None,
-                            ..job
-                        });
-                        return None;
-                    }
-                }
+                self.metrics
+                    .observe(Phase::Run, Duration::from_nanos(wall_nanos));
                 let cycles = pair.total_cycles();
-                if cycles > self.exec.cycle_budget {
-                    self.metrics.inc(Count::CycleQuarantined);
-                }
                 let sched = pair.sched();
                 self.metrics.inc(Count::JobsRun);
                 self.metrics.add(Count::SimCycles, cycles);
@@ -306,11 +303,11 @@ impl<'a> Ledger<'a> {
             }
             Outcome::Cancelled => {
                 self.metrics.inc(Count::Cancelled);
-                if self.expired || job.attempt >= self.exec.max_retries {
+                if self.expired || job.attempt >= MAX_RETRIES {
                     let attempts = job.attempt + 1;
                     self.fail(job.index, JobFailure::Deadline { attempts });
                 } else {
-                    let backoff = self.exec.backoff_for_attempt(job.attempt);
+                    let backoff = doubled(RETRY_BACKOFF, job.attempt);
                     self.metrics.inc(Count::BackoffRetries);
                     self.metrics.observe(Phase::Backoff, backoff);
                     self.queue.push_back(Queued {
@@ -385,19 +382,11 @@ impl<'a> Ledger<'a> {
         self.metrics.inc(Count::WorkerRespawns);
     }
 
-    /// Expire the campaign once its external cancel tripped or its
-    /// deadline passed.
-    pub(crate) fn expire_if_due(&mut self, now: Instant) {
-        if self.expired {
-            return;
-        }
-        let exec = self.exec;
-        if exec.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+    /// Expire the campaign once its external cancel tripped.
+    pub(crate) fn expire_if_cancelled(&mut self) {
+        let cancel = self.exec.cancel.as_ref();
+        if cancel.is_some_and(CancelToken::is_cancelled) {
             self.expire("external cancellation requested");
-        } else if let Some(budget) = exec.campaign_deadline {
-            if now.duration_since(self.started) >= budget {
-                self.expire(&format!("campaign deadline {budget:?} exhausted"));
-            }
         }
     }
 
@@ -443,25 +432,18 @@ impl<'a> Ledger<'a> {
         }
     }
 
-    /// The next instant a supervisor must act at: the campaign
-    /// deadline, the external-cancel poll, the next progress line, or
-    /// the earliest hard deadline of an attempt not yet cancelled.
-    /// `None`: nothing is due until an attempt settles.
+    /// The next instant a supervisor must act at: the external-cancel
+    /// poll, the next progress line, or the earliest hard deadline of an
+    /// attempt not yet cancelled. `None`: nothing is due until an
+    /// attempt settles.
     pub(crate) fn next_timer(&self, now: Instant) -> Option<Instant> {
-        let live = !self.expired;
         let exec = self.exec;
-        let campaign = exec.campaign_deadline.filter(|_| live);
-        let campaign = campaign.and_then(|b| self.started.checked_add(b));
-        let poll = exec
-            .cancel
-            .as_ref()
-            .filter(|_| live)
-            .map(|_| now + CANCEL_POLL);
+        let poll = exec.cancel.as_ref().filter(|_| !self.expired);
+        let poll = poll.map(|_| now + CANCEL_POLL);
         let report = exec.progress.then(|| self.last_report + REPORT_EVERY);
         let attempts = self.slots.iter().flatten().filter(|a| !a.cancelled);
         let deadlines = attempts.filter_map(|a| a.deadline);
-        let timers = campaign.into_iter().chain(poll).chain(report);
-        timers.chain(deadlines).min()
+        poll.into_iter().chain(report).chain(deadlines).min()
     }
 
     /// The progress line — the run's stats so far — at most once per
@@ -571,22 +553,51 @@ mod tests {
     }
 
     #[test]
+    fn deadlines_double_per_attempt_and_saturate() {
+        assert_eq!(doubled(100 * MS, 0), 100 * MS);
+        assert_eq!(doubled(100 * MS, 1), 200 * MS);
+        assert_eq!(doubled(100 * MS, 2), 400 * MS);
+        // Huge attempt numbers must not overflow.
+        assert_eq!(doubled(100 * MS, u32::MAX), 100 * MS * (1 << 16));
+        // Without a hard deadline an attempt has no timer.
+        let exec = Exec::default();
+        let t0 = Instant::now();
+        let mut l = ledger(&exec, &JOBS[..1], 1, t0);
+        assert_eq!(take(&mut l, 0, t0), (0, 0));
+        assert_eq!(l.next_timer(t0), None);
+    }
+
+    #[test]
+    fn backoff_doubles_per_attempt() {
+        assert_eq!(doubled(10 * MS, 0), 10 * MS);
+        assert_eq!(doubled(10 * MS, 3), 80 * MS);
+    }
+
+    #[test]
     fn backoff_gates_never_block_an_eligible_job() {
-        let exec = Exec {
-            job_wall_budget: 10 * MS,
-            retry_backoff: 10 * MS,
-            ..Exec::default()
-        };
+        let exec = Exec::default();
         let t0 = Instant::now();
         let mut l = ledger(&exec, &JOBS[..2], 2, t0);
-        assert_eq!((take(&mut l, 0, t0), take(&mut l, 1, t0)), ((0, 0), (1, 0)));
-        // Job 0 is cancelled: re-queued behind a 10 ms gate. Job 1 overran
-        // its wall budget: re-queued eligible, behind the gated job.
+        assert_eq!(take(&mut l, 0, t0), (0, 0));
+        // Job 0 is cancelled: re-queued behind the backoff gate. Job 1,
+        // still queued and eligible, is taken ahead of it.
         assert!(l.settle(0, Outcome::Cancelled, t0).is_none());
-        assert!(l.settle(1, done(30, 20 * MS), t0).is_none());
-        assert_eq!(take(&mut l, 0, t0 + MS), (1, 1));
-        assert!(matches!(l.take(1, t0 + MS), Take::Wait(Some(g)) if g == t0 + 10 * MS));
-        assert_eq!(take(&mut l, 1, t0 + 10 * MS), (0, 1));
+        let gate = t0 + RETRY_BACKOFF;
+        assert_eq!(take(&mut l, 0, t0 + MS), (1, 0));
+        assert!(matches!(l.take(1, t0 + MS), Take::Wait(Some(g)) if g == gate));
+        assert_eq!(take(&mut l, 1, gate), (0, 1));
+    }
+
+    #[test]
+    fn a_slow_attempt_keeps_its_result() {
+        let exec = Exec::default();
+        let t0 = Instant::now();
+        let mut l = ledger(&exec, &JOBS[..1], 1, t0);
+        assert_eq!(take(&mut l, 0, t0), (0, 0));
+        let hour = Duration::from_secs(3600);
+        let rec = l.settle(0, done(30, hour), t0 + hour);
+        assert_eq!(rec.map(|r| r.attempts), Some(1));
+        assert!(l.finished());
     }
 
     #[test]
@@ -632,23 +643,23 @@ mod tests {
 
     #[test]
     fn expiry_drains_the_queue_and_cancels_every_attempt_in_flight() {
+        let cancel = CancelToken::new();
         let exec = Exec {
-            campaign_deadline: Some(100 * MS),
-            job_wall_budget: 10 * MS,
-            max_retries: 3,
+            cancel: Some(cancel.clone()),
             ..Exec::default()
         };
         let t0 = Instant::now();
         let mut l = ledger(&exec, &JOBS, 2, t0);
         let running = take_job(&mut l, 0, t0);
         assert_eq!(take(&mut l, 1, t0), (1, 0));
-        // Job 1 comes back for a wall-quarantine retry (attempt 1).
-        assert!(l.settle(1, done(30, 20 * MS), t0).is_none());
-        assert_eq!(l.next_timer(t0), Some(t0 + 100 * MS));
-        l.expire_if_due(t0 + 99 * MS);
+        // Job 1 comes back for a retry behind its backoff (attempt 1).
+        assert!(l.settle(1, Outcome::Cancelled, t0).is_none());
+        assert_eq!(l.next_timer(t0), Some(t0 + CANCEL_POLL));
+        l.expire_if_cancelled();
         l.overdue(t0 + 99 * MS);
         assert!(!l.expired && !running.token.is_cancelled());
-        l.expire_if_due(t0 + 100 * MS);
+        cancel.cancel();
+        l.expire_if_cancelled();
         l.overdue(t0 + 100 * MS);
         assert!(running.token.is_cancelled());
         assert!(matches!(l.take(1, t0 + 100 * MS), Take::Wait(None)));
@@ -663,7 +674,8 @@ mod tests {
         // In flight: cancelled during attempt 0, so one attempt used.
         // Queued: job 1 had used one attempt, job 2 none.
         assert_eq!(attempts.collect::<Vec<_>>(), vec![1, 1, 0]);
-        assert_eq!((stats.deadline_failed, stats.cancelled), (3, 1));
+        // Job 1's first attempt and job 0's attempt were cancelled.
+        assert_eq!((stats.deadline_failed, stats.cancelled), (3, 2));
     }
 
     #[test]
@@ -685,7 +697,6 @@ mod tests {
     fn hard_deadlines_cancel_then_retry_with_backoff_and_a_doubled_deadline() {
         let exec = Exec {
             job_deadline: Some(100 * MS),
-            retry_backoff: 5 * MS,
             ..Exec::default()
         };
         let t0 = Instant::now();
@@ -697,7 +708,7 @@ mod tests {
         l.overdue(t0 + 100 * MS);
         assert!(first.token.is_cancelled());
         assert!(l.settle(0, Outcome::Cancelled, t0 + 100 * MS).is_none());
-        let t1 = t0 + 105 * MS;
+        let t1 = t0 + 100 * MS + RETRY_BACKOFF;
         assert!(matches!(l.take(0, t1 - MS), Take::Wait(Some(g)) if g == t1));
         let retry = take_job(&mut l, 0, t1);
         assert_eq!((retry.attempt, l.next_timer(t1)), (1, Some(t1 + 200 * MS)));
@@ -711,35 +722,5 @@ mod tests {
             Some(Err(JobFailure::Deadline { attempts: 2 }))
         ));
         assert_eq!((stats.cancelled, stats.backoff_retries), (2, 1));
-    }
-
-    #[test]
-    fn wall_overruns_retry_and_cycle_overruns_are_only_flagged() {
-        let exec = Exec {
-            job_wall_budget: 10 * MS,
-            cycle_budget: 25,
-            ..Exec::default()
-        };
-        let t0 = Instant::now();
-        let mut l = ledger(&exec, &JOBS[..2], 1, t0);
-        assert_eq!(take(&mut l, 0, t0), (0, 0));
-        assert!(l.settle(0, done(20, 20 * MS), t0).is_none());
-        assert_eq!(take(&mut l, 0, t0), (1, 0));
-        assert!(l.settle(0, done(30, MS), t0).is_some(), "flagged, kept");
-        // The final attempt's result is kept even over the wall budget.
-        assert_eq!(take(&mut l, 0, t0), (0, 1));
-        assert_eq!(
-            l.settle(0, done(20, 20 * MS), t0).map(|r| r.attempts),
-            Some(2)
-        );
-        let s = &l.stats();
-        let counts = (
-            s.quarantined_wall,
-            s.retries,
-            s.quarantined_cycles,
-            s.jobs_run,
-        );
-        assert_eq!((counts, s.sim_cycles), ((2, 1, 1, 2), 50));
-        assert!(l.finished());
     }
 }

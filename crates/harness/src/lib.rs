@@ -17,12 +17,11 @@
 //! * one job ledger behind two worker backends: a std-only thread pool
 //!   ([`Exec::jobs`]) and a fleet of supervised worker subprocesses
 //!   ([`WorkerBackend::Process`]). The ledger owns every job decision:
-//!   a panicking job fails its cell, not the campaign; wall-budget
-//!   overruns are retried and simulated-cycle overruns flagged; with
-//!   [`Exec::job_deadline`] an overdue attempt's
-//!   [`CancelToken`](vpsim_pipeline::CancelToken) aborts it
-//!   mid-simulation and it retries with exponential backoff; and
-//!   [`Exec::campaign_deadline`] or [`Exec::cancel`] bound the run;
+//!   a panicking job fails its cell, not the campaign; a finished
+//!   attempt is always kept; with [`Exec::job_deadline`] an overdue
+//!   attempt's [`CancelToken`](vpsim_pipeline::CancelToken) aborts it
+//!   mid-simulation and it retries with exponential backoff, the one
+//!   overrun policy; and [`Exec::cancel`] bounds the run;
 //! * a pluggable sink I/O plane ([`SinkIo`]): the manifest writes
 //!   through [`RealIo`] in production and a seeded [`FaultyIo`] in the
 //!   torture suite, degrading gracefully (spill files, append-only

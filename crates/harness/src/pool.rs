@@ -4,8 +4,8 @@
 //! job in-process with [`run_job`]; a process lane ([`crate::fleet`])
 //! forwards it to its worker subprocess. The calling thread supervises:
 //! it sleeps on the same condvar until the ledger's next timer (hard
-//! deadline, campaign deadline, cancel poll, progress line) and applies
-//! expiry and cancellation then.
+//! deadline, cancel poll, progress line) and applies expiry and
+//! cancellation then.
 //!
 //! Every condition a waiter checks is ledger state behind the mutex, and
 //! every change a waiter needs is followed by a notify: a settle that
@@ -14,6 +14,7 @@
 //! supervisor. A wake-up therefore cannot fall between a check and its
 //! wait.
 
+use std::num::NonZeroUsize;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -79,7 +80,7 @@ impl<'a> Shared<'a> {
         let mut state = self.lock();
         loop {
             let now = Instant::now();
-            state.ledger.expire_if_due(now);
+            state.ledger.expire_if_cancelled();
             state.ledger.overdue(now);
             if let Some(line) = state.ledger.progress_line(now) {
                 eprintln!("{line}");
@@ -173,16 +174,28 @@ impl<'a> Lane<'_, 'a> {
     }
 }
 
-/// Run the batch's pending jobs on `lanes` threads, each served by
-/// `serve`, and return one result per pending job, in batch order.
+/// The lanes a run starts for `requested` workers: `0` resolves to the
+/// machine's available parallelism, and never more than `pending`.
+pub(crate) fn lane_count(requested: usize, pending: usize) -> usize {
+    let n = match requested {
+        0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        n => n,
+    };
+    n.min(pending)
+}
+
+/// Run the batch's pending jobs on [`lane_count`] threads for
+/// `requested` workers, each served by `serve`, and return one result
+/// per pending job, in batch order.
 pub(crate) fn run_lanes(
     batch: &Batch<'_>,
     exec: &Exec,
-    lanes: usize,
+    requested: usize,
     poison_threshold: u32,
     on_done: &OnDone<'_>,
     serve: &(dyn Fn(Lane<'_, '_>) + Sync),
 ) -> Vec<Option<JobResult>> {
+    let lanes = lane_count(requested, batch.pending.len());
     let ledger = Ledger::new(batch, exec, lanes, poison_threshold, Instant::now());
     // Nothing pending, or a pre-tripped cancel drained it all: no lanes.
     let lanes = if ledger.finished() { 0 } else { lanes };
@@ -218,28 +231,21 @@ pub(crate) fn run_lanes(
         .into_results()
 }
 
-/// The thread backend: [`Exec::effective_jobs`] lanes running jobs
-/// in-process.
+/// The thread backend: one lane per [`Exec::jobs`] worker, running
+/// jobs in-process.
 pub(crate) fn run_jobs(
     batch: &Batch<'_>,
     exec: &Exec,
     on_done: &OnDone<'_>,
 ) -> Vec<Option<JobResult>> {
-    run_lanes(
-        batch,
-        exec,
-        exec.effective_jobs(),
-        u32::MAX,
-        on_done,
-        &|mut lane| {
-            while let Some(job) = lane.next_job() {
-                let plan = batch.plans[job.cell]
-                    .as_ref()
-                    .expect("queued jobs only reference planned cells");
-                lane.settle(run_job(plan, job.trial, &job.token));
-            }
-        },
-    )
+    run_lanes(batch, exec, exec.jobs, u32::MAX, on_done, &|mut lane| {
+        while let Some(job) = lane.next_job() {
+            let plan = batch.plans[job.cell]
+                .as_ref()
+                .expect("queued jobs only reference planned cells");
+            lane.settle(run_job(plan, job.trial, &job.token));
+        }
+    })
 }
 
 #[cfg(test)]

@@ -52,9 +52,6 @@ families! {
         JobsRun => "vpsim_jobs_done_total", "jobs finished by this run (resumed replays excluded)";
         JobsFailed => "vpsim_jobs_failed_total", "jobs failed (panic, deadline or poison)";
         CellsFailed => "vpsim_cells_failed_total", "cells that failed permanently";
-        WallQuarantined => "vpsim_jobs_wall_quarantined_total", "attempts over the wall budget";
-        WallRetries => "vpsim_job_wall_retries_total", "wall-budget overruns re-queued for a retry";
-        CycleQuarantined => "vpsim_jobs_cycle_quarantined_total", "jobs over the cycle budget";
         Panics => "vpsim_job_panics_total", "jobs that panicked";
         Cancelled => "vpsim_job_cancellations_total", "attempts cancelled mid-simulation";
         BackoffRetries => "vpsim_job_backoff_retries_total", "cancellations retried after backoff";
@@ -141,9 +138,6 @@ impl CampaignMetrics {
         CampaignStats {
             jobs_run: d(Count::JobsRun),
             failed_cells: d(Count::CellsFailed),
-            retries: d(Count::WallRetries),
-            quarantined_wall: d(Count::WallQuarantined),
-            quarantined_cycles: d(Count::CycleQuarantined),
             panics: d(Count::Panics),
             cancelled: d(Count::Cancelled),
             backoff_retries: d(Count::BackoffRetries),
@@ -189,21 +183,15 @@ pub struct CampaignStats {
     /// Cells that failed permanently (a panicked, timed-out or poisoned
     /// job).
     pub failed_cells: usize,
-    /// Quarantine retries performed (wall-budget overruns).
-    pub retries: usize,
-    /// Jobs that exceeded the wall-time budget.
-    pub quarantined_wall: usize,
-    /// Jobs that exceeded the simulated-cycle budget.
-    pub quarantined_cycles: usize,
     /// Jobs that panicked.
     pub panics: usize,
-    /// Supervisor cancellations delivered (hard-deadline or campaign
-    /// budget trips observed by a running attempt).
+    /// Supervisor cancellations delivered (hard-deadline or expiry
+    /// trips observed by a running attempt).
     pub cancelled: usize,
     /// Cancelled attempts re-queued with exponential backoff.
     pub backoff_retries: usize,
     /// Jobs that permanently failed as timed out (cancelled on their
-    /// final attempt or drained after the campaign deadline).
+    /// final attempt or drained after the campaign expired).
     pub deadline_failed: usize,
     /// Torn manifest lines dropped while resuming (interrupted writes;
     /// the affected jobs re-ran).
@@ -227,10 +215,10 @@ pub struct CampaignStats {
 
 impl CampaignStats {
     /// No failed cell, panic, deadline failure, torn manifest line or
-    /// I/O fault was counted. Wall quarantines that still produced a
-    /// result and contained worker crashes are operational events, not
-    /// result defects: a relocated job recomputes the identical result,
-    /// and a cell lost to crashes counts as failed.
+    /// I/O fault was counted. Retried cancellations and contained worker
+    /// crashes are operational events, not result defects: a rerun job
+    /// recomputes the identical result, and a cell lost to crashes
+    /// counts as failed.
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.failed_cells + self.panics + self.deadline_failed + self.torn_lines + self.io_faults
@@ -257,12 +245,8 @@ impl fmt::Display for CampaignStats {
                 self.sched.skipped_cycles as f64 / total as f64 * 100.0
             )?;
         }
-        if self.retries + self.quarantined_wall + self.quarantined_cycles + self.panics > 0 {
-            write!(
-                f,
-                "; {} wall-quarantined ({} retries), {} cycle-quarantined, {} panicked",
-                self.quarantined_wall, self.retries, self.quarantined_cycles, self.panics
-            )?;
+        if self.panics > 0 {
+            write!(f, "; {} panicked", self.panics)?;
         }
         if self.cancelled + self.backoff_retries + self.deadline_failed > 0 {
             write!(

@@ -3,10 +3,9 @@
 //! Three planes of abuse, all seeded and reproducible:
 //!
 //! 1. **Kill/resume torture**: a reference campaign's manifest is
-//!    truncated at many seeded byte offsets — mid-header, mid-record,
-//!    post-quarantine — and resumed; every interruption point must
-//!    converge to a final manifest and evaluations bit-identical to an
-//!    uninterrupted run.
+//!    truncated at many seeded byte offsets — mid-header, mid-record —
+//!    and resumed; every interruption point must converge to a final
+//!    manifest and evaluations bit-identical to an uninterrupted run.
 //! 2. **I/O-fault torture**: the same campaign runs with a seeded
 //!    [`FaultyIo`] injecting short writes, `ENOSPC`, fsync failures and
 //!    torn renames; the campaign must degrade gracefully (spill files,
@@ -14,7 +13,7 @@
 //!    evaluations, including across a simulated crash.
 //! 3. **Cancellation torture**: a deliberately hung cell (absurd
 //!    training-repeat count) must be *cancelled* within its hard
-//!    deadline — not merely logged — and a campaign deadline must bound
+//!    deadline — not merely logged — and an external cancel must bound
 //!    the whole run while still resolving every queued job.
 //! 4. **Process-fleet torture**: campaigns on the process-isolated
 //!    backend survive a worker SIGKILLed mid-flight with bit-identical
@@ -34,6 +33,7 @@ use vpsim_harness::{
     Campaign, CampaignSpec, CellOutcome, CellSpec, Exec, FaultPlan, FaultyIo, FleetConfig,
     JobRecord, SinkIo, WorkerBackend,
 };
+use vpsim_pipeline::CancelToken;
 use vpsim_rng::SmallRng;
 
 fn cfg(trials: usize) -> ExperimentConfig {
@@ -181,40 +181,6 @@ fn seeded_interruption_points_converge_to_the_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&base_dir);
 }
 
-/// Post-quarantine interruption: jobs quarantined by a zero wall budget
-/// (every job overruns, retries, and its final attempt is used) still
-/// produce the same manifest payload after a kill/resume.
-#[test]
-fn interruption_after_quarantine_still_converges() {
-    let campaign = reference_campaign("torture-q");
-    let dir = scratch_dir("quarantine");
-    let strained = Exec {
-        jobs: 4,
-        resume: Some(dir.clone()),
-        job_wall_budget: Duration::ZERO,
-        max_retries: 1,
-        ..Exec::default()
-    };
-    let baseline = campaign.run(&strained).unwrap();
-    assert!(baseline.stats.quarantined_wall >= 12, "budget must trip");
-    let text = std::fs::read_to_string(dir.join("torture-q.jsonl")).unwrap();
-    let base_payload = payload(&text);
-
-    // Kill after the quarantine-heavy run: drop the second half.
-    std::fs::write(dir.join("torture-q.jsonl"), &text[..text.len() / 2]).unwrap();
-    let resumed = campaign.run(&strained).unwrap();
-    for name in CELLS {
-        assert_bitwise_eq(
-            baseline.expect_eval(name),
-            resumed.expect_eval(name),
-            &format!("post-quarantine resume, cell {name}"),
-        );
-    }
-    let final_text = std::fs::read_to_string(dir.join("torture-q.jsonl")).unwrap();
-    assert_eq!(payload(&final_text), base_payload);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Torture plane 2: hostile seeded I/O. The campaign must never abort
 /// on injected sink failures, must surface the fault counters, and its
 /// evaluations must stay bit-identical to the clean run — including
@@ -343,8 +309,6 @@ fn a_hung_cell_is_cancelled_within_its_deadline() {
         .run(&Exec {
             jobs: 2,
             job_deadline: Some(Duration::from_millis(150)),
-            max_retries: 1,
-            retry_backoff: Duration::from_millis(5),
             ..Exec::default()
         })
         .unwrap();
@@ -374,37 +338,47 @@ fn a_hung_cell_is_cancelled_within_its_deadline() {
     assert_eq!(outcome.stats.deadline_failed, 2, "{:?}", outcome.stats);
 }
 
-/// Torture plane 3b: the campaign deadline bounds the whole run. Every
+/// Torture plane 3b: an external cancel bounds the whole run. Every
 /// queued job still resolves (as a timed-out failure), so the campaign
 /// returns a complete outcome instead of hanging.
 #[test]
-fn campaign_deadline_bounds_the_run_and_resolves_every_job() {
-    let campaign = hung_campaign("torture-budget", 6);
+fn an_external_cancel_bounds_the_run_and_resolves_every_job() {
+    let campaign = hung_campaign("torture-cancel", 6);
+    let cancel = CancelToken::new();
+    let tripper = {
+        let cancel = cancel.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(400));
+            cancel.cancel();
+        })
+    };
     let started = Instant::now();
     let outcome = campaign
         .run(&Exec {
             jobs: 2,
-            campaign_deadline: Some(Duration::from_millis(400)),
+            cancel: Some(cancel),
             ..Exec::default()
         })
         .unwrap();
     let elapsed = started.elapsed();
+    tripper.join().unwrap();
     assert!(
         elapsed < Duration::from_secs(30),
-        "campaign deadline did not bound the run (took {elapsed:?})"
+        "the external cancel did not bound the run (took {elapsed:?})"
     );
     // The outcome is complete: both cells resolved, one way or another.
     assert_eq!(outcome.cells().len(), 2);
     match &outcome.cells()[1].outcome {
         CellOutcome::Failed(_) => {}
-        other => panic!("hung cell must fail under the campaign deadline, got {other:?}"),
+        other => panic!("hung cell must fail under the external cancel, got {other:?}"),
     }
     assert!(outcome.stats.deadline_failed >= 1, "{:?}", outcome.stats);
 }
 
 /// An untripped supervision plane is result-neutral: the same campaign
-/// with and without a generous hard deadline produces bit-identical
-/// evaluations (the cancellation check is a pure read when untripped).
+/// with and without a generous hard deadline and an external cancel
+/// produces bit-identical evaluations (the cancellation check is a pure
+/// read when untripped).
 #[test]
 fn untripped_deadlines_are_result_neutral() {
     let campaign = reference_campaign("torture-neutral");
@@ -413,7 +387,7 @@ fn untripped_deadlines_are_result_neutral() {
         .run(&Exec {
             jobs: 4,
             job_deadline: Some(Duration::from_secs(600)),
-            campaign_deadline: Some(Duration::from_secs(3600)),
+            cancel: Some(CancelToken::new()),
             ..Exec::default()
         })
         .unwrap();
