@@ -54,6 +54,19 @@ CSV_TMP="$(mktemp -d)"
 diff -r "$CSV_TMP/a" "$CSV_TMP/b"
 rm -rf "$CSV_TMP"
 
+# Machine-reuse smoke: each thread keeps its last trial's machine and
+# resets it when the next trial has the same core and memory
+# configuration, or builds a new one when it has not. The defense
+# matrix (D-type delays side effects) and the ablations (DRAM jitter,
+# the next-line prefetcher) change that configuration between cells,
+# so one worker and two workers switch machines at different points;
+# their reports must still be byte-identical.
+SLOT_TMP="$(mktemp -d)"
+./target/release/repro --defenses --ablations --trials 100 --jobs 1 --strict > "$SLOT_TMP/a.txt"
+./target/release/repro --defenses --ablations --trials 100 --jobs 2 --strict > "$SLOT_TMP/b.txt"
+cmp "$SLOT_TMP/a.txt" "$SLOT_TMP/b.txt"
+rm -rf "$SLOT_TMP"
+
 # Robustness smoke: the quick chaos sweep (12 attack variants + RSA x
 # noise levels 0-4 x both receivers) is fully seeded, so every cell
 # must match the committed baseline bit for bit. The full sweep is the

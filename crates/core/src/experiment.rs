@@ -4,10 +4,16 @@
 //!
 //! Methodology, following the paper: each attack configuration is run for
 //! `trials` mapped and `trials` unmapped single-bit trials (100 each by
-//! default), every trial on a **fresh machine** seeded differently so
-//! DRAM jitter produces timing *distributions*; Welch's t-test then
-//! decides whether the receiver can distinguish the two cases — the
-//! attack succeeds iff `p < 0.05`.
+//! default), every trial on a **machine indistinguishable from a fresh
+//! one**, seeded differently so DRAM jitter produces timing
+//! *distributions*; Welch's t-test then decides whether the receiver can
+//! distinguish the two cases — the attack succeeds iff `p < 0.05`.
+//!
+//! Each thread keeps the machine of its last trial and
+//! [resets](Machine::reset) it for the next one with the same core and
+//! memory configuration, which costs only what the last trial touched.
+
+use std::cell::Cell;
 
 use vpsim_chaos::ChaosConfig;
 use vpsim_mem::MemoryConfig;
@@ -143,7 +149,7 @@ const UNMAPPED_DEFENSE_SEED_SALT: u64 = 0x0def_5eed;
 /// [`CancelToken`](vpsim_pipeline::CancelToken) was tripped
 /// mid-run (hard job deadline, campaign budget). Interruption is a
 /// supervision event, not a result: the trial produced no observation
-/// and may be retried on a fresh machine with identical seeds.
+/// and may be retried with identical seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interrupted;
 
@@ -220,7 +226,8 @@ fn build_predictor(
     }
 }
 
-/// Execute one trial on a fresh machine and extract the observation.
+/// Execute one trial on a machine indistinguishable from a fresh one and
+/// extract the observation.
 ///
 /// # Panics
 ///
@@ -240,22 +247,55 @@ pub fn run_trial(
     }
 }
 
-/// The one trial body: a fresh machine from `seed`, the predictor's
-/// defense draw from `defense_seed`, and every step run (background
-/// noise included) under `ctl`. The token is polled inside each run, so
-/// even one hung program is abandoned with bounded latency.
+thread_local! {
+    /// This thread's machine, kept from its last trial that returned.
+    static MACHINE: Cell<Option<Machine>> = const { Cell::new(None) };
+}
+
+/// The one trial body: a machine indistinguishable from a fresh one
+/// built from `seed`, the predictor's defense draw from `defense_seed`,
+/// and every step run (background noise included) under `ctl`. The
+/// token is polled inside each run, so even one hung program is
+/// abandoned with bounded latency.
+///
+/// The machine comes from this thread's slot: the slot's machine is
+/// [reset](Machine::reset) when its core and memory configuration
+/// match this trial's, and a new one is built otherwise. It goes back
+/// to the slot only when the body returns, so a trial that panics drops
+/// its machine.
 fn run_trial_with(
     trial: &Trial,
     predictor: PredictorKind,
     cfg: &ExperimentConfig,
     seed: u64,
     defense_seed: u64,
-    mut ctl: RunCtl<'_>,
+    ctl: RunCtl<'_>,
 ) -> Result<TrialOutcome, Interrupted> {
     let mut core = cfg.core;
     core.delay_side_effects = core.delay_side_effects || cfg.defense.d_type;
     let vp = build_predictor(predictor, &cfg.setup, &cfg.defense, cfg.index, defense_seed);
-    let mut machine = Machine::new(core, cfg.mem, vp, seed);
+    let mut machine = match MACHINE.take() {
+        Some(mut machine)
+            if *machine.core_config() == core && *machine.mem().config() == cfg.mem =>
+        {
+            machine.reset(vp, seed);
+            machine
+        }
+        _ => Machine::new(core, cfg.mem, vp, seed),
+    };
+    let outcome = run_steps(&mut machine, trial, cfg, seed, ctl);
+    MACHINE.set(Some(machine));
+    outcome
+}
+
+/// Run `trial`'s steps on `machine`, a machine as new from `seed`.
+fn run_steps(
+    machine: &mut Machine,
+    trial: &Trial,
+    cfg: &ExperimentConfig,
+    seed: u64,
+    mut ctl: RunCtl<'_>,
+) -> Result<TrialOutcome, Interrupted> {
     if !cfg.chaos.is_off() {
         machine.set_chaos(&cfg.chaos, seed ^ CHAOS_SEED_SALT);
     }
@@ -476,7 +516,8 @@ impl CellPlan {
             .wrapping_add((t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// Run paired trial `t` on two fresh machines.
+    /// Run paired trial `t`, each arm on a machine indistinguishable from
+    /// a fresh one.
     ///
     /// Paired design: the mapped and unmapped trial of each pair share a
     /// machine seed, so jitter affects both identically. Without a value
@@ -769,6 +810,78 @@ mod tests {
                 "a tripped token must abandon the pair (traced {traced})"
             );
         }
+    }
+
+    #[test]
+    fn an_aborted_trial_leaves_nothing_behind() {
+        use vpsim_isa::{Inst, Program};
+        use vpsim_pipeline::CancelToken;
+
+        let cfg = quick_cfg();
+        let plan = CellPlan::new(
+            AttackCategory::TrainTest,
+            Channel::TimingWindow,
+            PredictorKind::Lvp,
+            &cfg,
+        )
+        .unwrap();
+        let t = 3;
+        let fresh = std::thread::scope(|s| s.spawn(|| plan.run_pair(t)).join().unwrap());
+        // The earlier steps dirty this thread's machine, then the last
+        // one runs past its end and the trial panics.
+        let mut broken = build_trial(
+            AttackCategory::TrainTest,
+            Channel::TimingWindow,
+            true,
+            &cfg.setup,
+        )
+        .unwrap();
+        let last = broken.steps.last_mut().unwrap();
+        let mut insts: Vec<Inst> = last.program.iter().map(|(_, inst)| inst).collect();
+        assert_eq!(insts.pop(), Some(Inst::Halt));
+        last.program = Program::from_insts(insts);
+        let panic = std::panic::catch_unwind(|| run_trial(&broken, PredictorKind::Lvp, &cfg, 7))
+            .expect_err("the last step must fail");
+        let message = panic.downcast_ref::<String>().unwrap();
+        assert!(message.contains("ran past the end"), "{message}");
+        assert_eq!(plan.run_pair(t), fresh, "after a panicked trial");
+        // A pair interrupted before its first cycle.
+        let token = CancelToken::new();
+        token.cancel();
+        let ctl = || RunCtl {
+            cancel: Some(&token),
+            tracer: None,
+        };
+        assert_eq!(plan.run_pair_with(t, ctl(), ctl()), Err(Interrupted));
+        assert_eq!(plan.run_pair(t), fresh, "after an interrupted pair");
+    }
+
+    #[test]
+    fn a_kept_machine_sheds_and_rearms_chaos() {
+        // Chaos is not part of the slot key: trials with and without it
+        // share this thread's machine.
+        let plain_cfg = quick_cfg();
+        let chaos_cfg = ExperimentConfig {
+            chaos: ChaosConfig::level(4),
+            ..quick_cfg()
+        };
+        let [plain, chaotic] = [&plain_cfg, &chaos_cfg].map(|cfg| {
+            CellPlan::new(
+                AttackCategory::TrainTest,
+                Channel::TimingWindow,
+                PredictorKind::Lvp,
+                cfg,
+            )
+            .unwrap()
+        });
+        let trials = plain.trials();
+        let pairs = |plan: &CellPlan| (0..trials).map(|t| plan.run_pair(t)).collect::<Vec<_>>();
+        let fresh =
+            std::thread::scope(|s| s.spawn(|| (pairs(&plain), pairs(&chaotic))).join().unwrap());
+        assert_ne!(fresh.0, fresh.1, "chaos must change the pairs");
+        assert_eq!(pairs(&plain), fresh.0);
+        assert_eq!(pairs(&chaotic), fresh.1, "chaos re-armed");
+        assert_eq!(pairs(&plain), fresh.0, "chaos removed");
     }
 
     #[test]

@@ -167,33 +167,59 @@ fn fresh_machine(cfg: &LeakConfig, seed: u64) -> Machine {
     machine
 }
 
-/// One receiver observation: train the predictor at the `tp` slot with
-/// known data, let the victim run one iteration, then time the trigger.
-fn observe_iteration(machine: &mut Machine, bit: bool, cfg: &LeakConfig) -> f64 {
-    let setup = &cfg.setup;
-    let train = train_program(setup, setup.target_slot, setup.known_addr);
-    for _ in 0..setup.confidence {
-        machine.run(2, &train).expect("receiver training runs");
-    }
-    let victim = iteration_program(bit, setup);
-    machine.run(1, &victim).expect("victim iteration runs");
-    let trigger = trigger_timing(
-        setup,
-        setup.target_slot,
-        setup.known_addr,
-        &[setup.known_value, TP_VALUE],
-    );
-    let r = machine.run(2, &trigger).expect("receiver trigger runs");
-    r.timing_windows()[0] as f64
+/// The receiver's and the victim's programs. They depend only on the
+/// attack setup, so a leak assembles them once.
+struct Programs {
+    /// Trains the predictor at the `tp` slot with known data.
+    train: Program,
+    /// The victim's iteration for a 0 bit and for a 1 bit.
+    victims: [Program; 2],
+    /// Times the receiver's trigger load.
+    trigger: Program,
+    /// Training runs per observation.
+    confidence: u32,
 }
 
-/// One known `(mapped, unmapped)` probe pair, each on a fresh machine:
-/// the 0-bit iteration (unmapped, fast) runs first, then the 1-bit one
-/// (its `tp` load maps to the receiver's entry and reads slow).
-fn probe_pair(cfg: &LeakConfig, mapped_seed: u64, unmapped_seed: u64) -> (f64, f64) {
-    let unmapped = observe_iteration(&mut fresh_machine(cfg, unmapped_seed), false, cfg);
-    let mapped = observe_iteration(&mut fresh_machine(cfg, mapped_seed), true, cfg);
-    (mapped, unmapped)
+impl Programs {
+    fn new(setup: &AttackSetup) -> Programs {
+        Programs {
+            train: train_program(setup, setup.target_slot, setup.known_addr),
+            victims: [false, true].map(|bit| iteration_program(bit, setup)),
+            trigger: trigger_timing(
+                setup,
+                setup.target_slot,
+                setup.known_addr,
+                &[setup.known_value, TP_VALUE],
+            ),
+            confidence: setup.confidence,
+        }
+    }
+
+    /// One receiver observation: train the predictor at the `tp` slot
+    /// with known data, let the victim run one iteration, then time the
+    /// trigger.
+    fn observe(&self, machine: &mut Machine, bit: bool) -> f64 {
+        for _ in 0..self.confidence {
+            machine.run(2, &self.train).expect("receiver training runs");
+        }
+        machine
+            .run(1, &self.victims[usize::from(bit)])
+            .expect("victim iteration runs");
+        let r = machine
+            .run(2, &self.trigger)
+            .expect("receiver trigger runs");
+        r.timing_windows()[0] as f64
+    }
+
+    /// One known `(mapped, unmapped)` probe pair, each on a fresh
+    /// machine: the 0-bit iteration (unmapped, fast) runs first, then
+    /// the 1-bit one (its `tp` load maps to the receiver's entry and
+    /// reads slow).
+    fn probe_pair(&self, cfg: &LeakConfig, mapped_seed: u64, unmapped_seed: u64) -> (f64, f64) {
+        let unmapped = self.observe(&mut fresh_machine(cfg, unmapped_seed), false);
+        let mapped = self.observe(&mut fresh_machine(cfg, mapped_seed), true);
+        (mapped, unmapped)
+    }
 }
 
 /// Recover the bits of `exponent` through the value-predictor side
@@ -204,6 +230,7 @@ fn probe_pair(cfg: &LeakConfig, mapped_seed: u64, unmapped_seed: u64) -> (f64, f
 #[must_use]
 pub fn leak_exponent(exponent: &Mpi, cfg: &LeakConfig) -> LeakResult {
     let true_bits = exponent.bits_msb_first();
+    let programs = Programs::new(&cfg.setup);
     let mut machine = fresh_machine(cfg, cfg.seed);
     let mut total_cycles = 0u64;
 
@@ -211,7 +238,7 @@ pub fn leak_exponent(exponent: &Mpi, cfg: &LeakConfig) -> LeakResult {
     // (the receiver can always run the victim code on its own inputs).
     let mut threshold = Threshold::calibrate(cfg.calibration_runs, |i| {
         let i = i as u64;
-        probe_pair(cfg, cfg.seed ^ (0xca22 + i), cfg.seed ^ (0xca11 + i))
+        programs.probe_pair(cfg, cfg.seed ^ (0xca22 + i), cfg.seed ^ (0xca11 + i))
     });
 
     let mut observations = Vec::with_capacity(true_bits.len());
@@ -222,11 +249,12 @@ pub fn leak_exponent(exponent: &Mpi, cfg: &LeakConfig) -> LeakResult {
         // tracking noise-induced drift.
         if Threshold::recalibrates_before(bit_idx, cfg.recalibrate_every) {
             let salt = (bit_idx / cfg.recalibrate_every) as u64 * 0x9e37;
-            let (m, u) = probe_pair(cfg, cfg.seed ^ (0xca44 + salt), cfg.seed ^ (0xca33 + salt));
+            let (m, u) =
+                programs.probe_pair(cfg, cfg.seed ^ (0xca44 + salt), cfg.seed ^ (0xca33 + salt));
             threshold.blend(Threshold::calibrate(1, |_| (m, u)));
             total_cycles += (m + u) as u64;
         }
-        let obs = observe_iteration(&mut machine, bit, cfg);
+        let obs = programs.observe(&mut machine, bit);
         // Account the cycles of the full step sequence approximately via
         // the machine's committed work: use the observation plus the
         // training/victim overhead measured below.
@@ -238,14 +266,12 @@ pub fn leak_exponent(exponent: &Mpi, cfg: &LeakConfig) -> LeakResult {
     // per-bit protocol overhead (training + victim runs) with a direct
     // measurement for an honest bandwidth estimate.
     let mut probe = fresh_machine(cfg, cfg.seed ^ 0xbead);
-    let setup = &cfg.setup;
-    let train = train_program(setup, setup.target_slot, setup.known_addr);
     let mut overhead = 0u64;
-    for _ in 0..setup.confidence {
-        overhead += probe.run(2, &train).expect("probe run").cycles;
+    for _ in 0..programs.confidence {
+        overhead += probe.run(2, &programs.train).expect("probe run").cycles;
     }
     overhead += probe
-        .run(1, &iteration_program(true, setup))
+        .run(1, &programs.victims[1])
         .expect("probe victim run")
         .cycles;
     total_cycles += overhead * true_bits.len() as u64;

@@ -1,6 +1,10 @@
-//! Allocation gate for the executor's warm path: the Figure 7 leak's
-//! train, victim and trigger programs, run again and again on one warm
-//! machine, allocate nothing but the trigger's `rdtsc` vector.
+//! Allocation gate for the warm paths: the Figure 7 leak's train,
+//! victim and trigger programs, run again and again on one warm
+//! machine, allocate nothing but the trigger's `rdtsc` vector;
+//! `Machine::reset` on a warm machine allocates nothing; and a Table III
+//! paired trial on a thread that already keeps a machine allocates a
+//! pinned count, below that of the same pair on a thread that keeps
+//! none.
 //!
 //! A counting global allocator tallies allocations per thread, so tests
 //! running on other threads cannot pollute the count. Its `unsafe` lives
@@ -11,10 +15,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vpsec::attacks::{train_program, trigger_timing};
+use vpsec::experiment::CellPlan;
+use vpsec::{AttackCategory, Channel, ExperimentConfig, PredictorKind};
 use vpsim_crypto::victim::iteration_program;
 use vpsim_crypto::LeakConfig;
 use vpsim_pipeline::Machine;
-use vpsim_predictor::{Lvp, LvpConfig};
+use vpsim_predictor::{Lvp, LvpConfig, ValuePredictor};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -74,20 +80,30 @@ const TP_VALUE: u64 = 0x4040;
 const WARM_UP: usize = 40;
 const ITERATIONS: usize = 1024;
 
-#[test]
-fn warm_leak_runs_allocate_only_the_trigger_timing_vector() {
-    let cfg = LeakConfig::default();
-    let setup = &cfg.setup;
-    let lvp = Lvp::new(LvpConfig {
-        confidence_threshold: setup.confidence,
+/// The leak's predictor.
+fn lvp(cfg: &LeakConfig) -> Box<dyn ValuePredictor> {
+    Box::new(Lvp::new(LvpConfig {
+        confidence_threshold: cfg.setup.confidence,
         ..LvpConfig::default()
-    });
-    let mut machine = Machine::new(cfg.core, cfg.mem, Box::new(lvp), cfg.seed);
+    }))
+}
+
+/// Store the victim's and the receiver's data, as the leak does on
+/// every machine it builds.
+fn store_leak_data(machine: &mut Machine, cfg: &LeakConfig) {
     let m = machine.mem_mut();
     m.store_value(SQR_ADDR, 0x5051);
     m.store_value(MUL_ADDR, 0x6061);
     m.store_value(TP_ADDR, TP_VALUE);
-    m.store_value(setup.known_addr, setup.known_value);
+    m.store_value(cfg.setup.known_addr, cfg.setup.known_value);
+}
+
+#[test]
+fn warm_leak_runs_allocate_only_the_trigger_timing_vector() {
+    let cfg = LeakConfig::default();
+    let setup = &cfg.setup;
+    let mut machine = Machine::new(cfg.core, cfg.mem, lvp(&cfg), cfg.seed);
+    store_leak_data(&mut machine, &cfg);
     let train = train_program(setup, setup.target_slot, setup.known_addr);
     let victims = [false, true].map(|bit| iteration_program(bit, setup));
     let dep_candidates = [setup.known_value, TP_VALUE];
@@ -124,4 +140,64 @@ fn warm_leak_runs_allocate_only_the_trigger_timing_vector() {
     assert_eq!(train, (0, (ITERATIONS * setup.confidence as usize) as u64));
     assert_eq!(victim, (0, ITERATIONS as u64));
     assert_eq!(trigger, (ITERATIONS as u64, ITERATIONS as u64));
+}
+
+#[test]
+fn resetting_a_warm_machine_allocates_nothing() {
+    let cfg = LeakConfig::default();
+    let setup = &cfg.setup;
+    let train = train_program(setup, setup.target_slot, setup.known_addr);
+    let victim = iteration_program(true, setup);
+    let mut machine = Machine::new(cfg.core, cfg.mem, lvp(&cfg), cfg.seed);
+    for round in 0..4u64 {
+        store_leak_data(&mut machine, &cfg);
+        for _ in 0..setup.confidence {
+            machine.run(2, &train).expect("train halts");
+        }
+        machine.run(1, &victim).expect("victim halts");
+        // The replacement predictor is built outside the count: the
+        // reset itself only restores what the runs touched.
+        let predictor = lvp(&cfg);
+        let allocs = allocations(|| machine.reset(predictor, cfg.seed ^ round));
+        assert_eq!(allocs, 0, "reset {round} allocated");
+    }
+}
+
+/// Allocations of one warm Table III paired trial: the Train+Test
+/// timing-window LVP cell's pair 5, on a thread whose machine slot has
+/// run that cell's earlier pairs.
+const WARM_PAIR_ALLOCATIONS: u64 = 21;
+
+#[test]
+fn a_warm_paired_trial_allocates_less_than_a_cold_one() {
+    let cfg = ExperimentConfig {
+        trials: 8,
+        ..ExperimentConfig::default()
+    };
+    let plan = CellPlan::new(
+        AttackCategory::TrainTest,
+        Channel::TimingWindow,
+        PredictorKind::Lvp,
+        &cfg,
+    )
+    .expect("Train+Test supports the timing-window channel");
+    // A new thread's slot is empty: the first pair builds its machine.
+    let (cold, warm) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let cold = allocations(|| {
+                let _ = plan.run_pair(5);
+            });
+            for t in 0..5 {
+                let _ = plan.run_pair(t);
+            }
+            let warm = allocations(|| {
+                let _ = plan.run_pair(5);
+            });
+            (cold, warm)
+        })
+        .join()
+        .expect("pair thread")
+    });
+    assert_eq!(warm, WARM_PAIR_ALLOCATIONS, "cold pair: {cold}");
+    assert!(warm < cold, "warm {warm} vs cold {cold}");
 }

@@ -56,6 +56,13 @@ impl BackingStore {
             .or_insert_with(|| Box::new([0; PAGE_WORDS]))[word] = value;
     }
 
+    /// Forget every word: the store reads all-zero again, as
+    /// [`BackingStore::new`] builds it, in time proportional to the
+    /// pages allocated.
+    pub fn reset(&mut self) {
+        self.pages.clear();
+    }
+
     /// Number of sparse pages currently allocated.
     #[must_use]
     pub fn allocated_pages(&self) -> usize {
@@ -130,6 +137,17 @@ mod tests {
     fn unaligned_write_panics() {
         let mut m = BackingStore::new();
         m.write(0x1001, 0);
+    }
+
+    #[test]
+    fn reset_forgets_every_page() {
+        let mut m = BackingStore::new();
+        m.write(0x1000, 5);
+        m.write(1 << 30, 6);
+        m.reset();
+        assert_eq!(m.allocated_pages(), 0);
+        assert_eq!(m.read(0x1000), 0);
+        assert_eq!(m.read(1 << 30), 0);
     }
 
     #[test]

@@ -53,6 +53,14 @@ pub struct Eviction {
 /// All state lives in a few flat arrays (lines, replacement state, MRU
 /// hints), so building or dropping a cache costs a handful of
 /// allocations whatever its set count.
+///
+/// The cache also lists the sets it has installed a line in since it
+/// was built or last emptied. Every other set is still in its initial
+/// state: a hit, an [`invalidate`](Cache::invalidate) or an
+/// [`evict_way`](Cache::evict_way) needs a valid line, and only
+/// `install` makes one. [`reset`](Cache::reset) and
+/// [`invalidate_all`](Cache::invalidate_all) therefore restore only the
+/// listed sets, in time proportional to what was touched.
 #[derive(Debug)]
 pub struct Cache {
     geometry: CacheGeometry,
@@ -66,6 +74,11 @@ pub struct Cache {
     /// The hint may go stale (invalidation, eviction); it is re-validated
     /// on every use.
     mru_way: Vec<u32>,
+    /// Whether each set is in `touched_sets`.
+    touched: Vec<bool>,
+    /// The sets `install` has put a line in since the cache was built
+    /// or last emptied, each once.
+    touched_sets: Vec<u32>,
     stats: CacheStats,
 }
 
@@ -86,6 +99,8 @@ impl Cache {
             lines: vec![Line::default(); sets * ways],
             replacement: Replacement::new(geometry.replacement, sets, ways, seed),
             mru_way: vec![0; sets],
+            touched: vec![false; sets],
+            touched_sets: Vec::new(),
             geometry,
             stats: CacheStats::default(),
         }
@@ -138,6 +153,10 @@ impl Cache {
     /// ([`fill`](Cache::fill)) so victim selection cannot drift between
     /// them.
     fn install(&mut self, set: usize, line: Addr, dirty: bool) -> Option<Eviction> {
+        if !self.touched[set] {
+            self.touched[set] = true;
+            self.touched_sets.push(set as u32);
+        }
         let (way, eviction) = match self.set_lines(set).iter().position(|l| !l.valid) {
             Some(way) => (way, None),
             None => {
@@ -257,11 +276,28 @@ impl Cache {
         self.lines[i].valid.then(|| self.evict(i))
     }
 
-    /// Invalidate everything (cold-start).
+    /// Invalidate everything (cold-start). Random replacement streams
+    /// keep running; statistics are untouched.
     pub fn invalidate_all(&mut self) {
-        self.lines.fill(Line::default());
-        self.replacement.reset();
-        self.mru_way.fill(0);
+        let ways = self.geometry.ways;
+        for set in self.touched_sets.drain(..) {
+            let set = set as usize;
+            self.lines[set * ways..][..ways].fill(Line::default());
+            self.replacement.reset_set(set);
+            self.mru_way[set] = 0;
+            self.touched[set] = false;
+        }
+    }
+
+    /// Put the cache back in the state [`Cache::new`] builds from its
+    /// geometry and `seed`: every line invalid, replacement state and
+    /// statistics as new, random replacement streams reseeded from
+    /// `seed`. Costs time proportional to the sets touched since the
+    /// last reset, plus one reseed per set under random replacement.
+    pub fn reset(&mut self, seed: u64) {
+        self.invalidate_all();
+        self.replacement.reseed(seed);
+        self.stats = CacheStats::default();
     }
 
     /// Number of currently valid lines (for occupancy assertions).

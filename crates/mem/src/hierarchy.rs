@@ -62,6 +62,16 @@ impl AccessOutcome {
     }
 }
 
+/// The random-replacement seed of the L1 for hierarchy seed `seed`.
+fn l1_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(0x9e37_79b9)
+}
+
+/// The random-replacement seed of the L2 for hierarchy seed `seed`.
+fn l2_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(0x85eb_ca6b)
+}
+
 /// Two-level write-back hierarchy + TLB + DRAM + backing store.
 ///
 /// All state (cache contents, TLB, memory words) persists for the lifetime
@@ -101,8 +111,8 @@ impl MemoryHierarchy {
             panic!("invalid memory configuration: {e}");
         }
         MemoryHierarchy {
-            l1: Cache::new(config.l1, seed.wrapping_mul(0x9e37_79b9)),
-            l2: Cache::new(config.l2, seed.wrapping_mul(0x85eb_ca6b)),
+            l1: Cache::new(config.l1, l1_seed(seed)),
+            l2: Cache::new(config.l2, l2_seed(seed)),
             tlb: Tlb::new(
                 config.tlb_entries,
                 config.page_bytes,
@@ -117,6 +127,23 @@ impl MemoryHierarchy {
             trace_enabled: false,
             trace_buf: Vec::new(),
         }
+    }
+
+    /// Put the hierarchy back in the state [`MemoryHierarchy::new`]
+    /// builds from its configuration and `seed`: empty caches, TLB and
+    /// memory, zeroed statistics, the jitter and random-replacement
+    /// streams reseeded from `seed`, no chaos engine and tracing off.
+    /// Costs time proportional to what was touched since the last
+    /// reset (plus one reseed per set of a randomly replaced cache).
+    pub fn reset(&mut self, seed: u64) {
+        self.l1.reset(l1_seed(seed));
+        self.l2.reset(l2_seed(seed));
+        self.tlb.flush();
+        self.backing.reset();
+        self.jitter_rng = SmallRng::seed_from_u64(seed);
+        self.stats = MemoryStats::default();
+        self.chaos = None;
+        self.set_tracing(false);
     }
 
     /// Enable or disable event tracing. Disabling drops any buffered
@@ -473,7 +500,9 @@ impl MemoryHierarchy {
     }
 
     /// Invalidate all cache and TLB state (memory contents are kept) — a
-    /// cold microarchitectural start between trials.
+    /// cold microarchitectural start between trials. Unlike
+    /// [`reset`](Self::reset), statistics are kept and the jitter and
+    /// random-replacement streams continue where they were.
     pub fn cold_caches(&mut self) {
         self.l1.invalidate_all();
         self.l2.invalidate_all();

@@ -37,6 +37,11 @@ fn reset_order(order: &mut [u32], ways: usize) {
     }
 }
 
+/// The random-victim stream of `set` for `seed`.
+fn set_rng(seed: u64, set: usize) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ set as u64)
+}
+
 impl Replacement {
     /// The initial state for `sets` sets of `ways` ways.
     ///
@@ -61,9 +66,7 @@ impl Replacement {
                 Replacement::TreePlru { ways, bits }
             }
             ReplacementKind::Random => {
-                let rngs = (0..sets)
-                    .map(|set| SmallRng::seed_from_u64(seed ^ set as u64))
-                    .collect();
+                let rngs = (0..sets).map(|set| set_rng(seed, set)).collect();
                 Replacement::Random { ways, rngs }
             }
         }
@@ -125,13 +128,27 @@ impl Replacement {
         }
     }
 
-    /// Reset every set to its initial state (cold start). Random streams
-    /// are not rewound: they continue where they were.
-    pub(crate) fn reset(&mut self) {
+    /// Reset `set` to its initial state (cold start). A random stream
+    /// is not rewound: it continues where it was.
+    pub(crate) fn reset_set(&mut self, set: usize) {
         match self {
-            Replacement::Lru { ways, order } => reset_order(order, *ways),
-            Replacement::TreePlru { bits, .. } => bits.fill(false),
+            Replacement::Lru { ways, order } => {
+                reset_order(&mut order[set * *ways..][..*ways], *ways);
+            }
+            Replacement::TreePlru { ways, bits } => {
+                bits[set * (*ways - 1)..][..*ways - 1].fill(false);
+            }
             Replacement::Random { .. } => {}
+        }
+    }
+
+    /// Restart every random stream as [`Replacement::new`] seeds it
+    /// from `seed`; a no-op for the other policies.
+    pub(crate) fn reseed(&mut self, seed: u64) {
+        if let Replacement::Random { rngs, .. } = self {
+            for (set, rng) in rngs.iter_mut().enumerate() {
+                *rng = set_rng(seed, set);
+            }
         }
     }
 }
@@ -159,8 +176,8 @@ mod tests {
             lru.touch(set, 1);
             lru.touch(set, 0);
         }
-        lru.reset();
         for set in 0..3 {
+            lru.reset_set(set);
             assert_eq!(lru.victim(set), 1);
         }
     }

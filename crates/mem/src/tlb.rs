@@ -110,7 +110,8 @@ impl Tlb {
         }
     }
 
-    /// Drop every cached translation.
+    /// Drop every cached translation. The TLB is then in the state
+    /// [`Tlb::new`] builds: it keeps no statistics and no random state.
     pub fn flush(&mut self) {
         self.entries.clear();
     }

@@ -6,7 +6,9 @@
 //! return value, `valid_lines()` and `stats()` must agree after every
 //! operation. No simulation configuration uses tree-PLRU or random
 //! replacement, so the golden suites only cover LRU; this test guards
-//! the other two policies.
+//! the other two policies. `Cache::reset(seed)` is checked against a
+//! reference built new from `seed`, and its whole state, as `Debug`
+//! prints it, against `Cache::new(geometry, seed)`.
 
 use vpsim_mem::{Addr, Cache, CacheAccess, CacheGeometry, CacheStats, Eviction, ReplacementKind};
 use vpsim_rng::SmallRng;
@@ -338,6 +340,16 @@ fn replay(geometry: CacheGeometry, seed: u64) {
             85 => {
                 flat.invalidate_all();
                 reference.invalidate_all();
+            }
+            86 => {
+                let seed = rng.next_u64();
+                flat.reset(seed);
+                reference = RefCache::new(geometry, seed);
+                assert_eq!(
+                    format!("{flat:?}"),
+                    format!("{:?}", Cache::new(geometry, seed)),
+                    "{case}: reset"
+                );
             }
             _ => assert_eq!(
                 flat.probe(addr),

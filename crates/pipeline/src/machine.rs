@@ -56,9 +56,6 @@ pub struct Machine {
     mem: MemoryHierarchy,
     predictor: Box<dyn ValuePredictor>,
     chaos: Option<PipeChaos>,
-    /// Whether a [`ChaoticPredictor`] wrapper has been installed (guards
-    /// against double wrapping on repeated `set_chaos` calls).
-    pred_chaos_installed: bool,
     /// The executor's buffers, lent to each run (which clears them
     /// first) so warm runs do not allocate them again.
     exec: ExecState,
@@ -83,9 +80,23 @@ impl Machine {
             mem: MemoryHierarchy::new(mem_config, seed),
             predictor,
             chaos: None,
-            pred_chaos_installed: false,
             exec: ExecState::default(),
         }
+    }
+
+    /// Put the machine back in the state [`Machine::new`] builds from
+    /// its configurations, `predictor` and `seed`: the memory hierarchy
+    /// is [reset](MemoryHierarchy::reset) (empty caches, TLB and memory,
+    /// zeroed statistics, jitter and random-replacement streams
+    /// reseeded from `seed`), `predictor` replaces the current one, and
+    /// the memory, pipeline and predictor chaos are removed so that
+    /// [`set_chaos`](Machine::set_chaos) can arm them again. Every run
+    /// clears the executor state itself. Costs time proportional to
+    /// what the runs since the last reset touched.
+    pub fn reset(&mut self, predictor: Box<dyn ValuePredictor>, seed: u64) {
+        self.mem.reset(seed);
+        self.predictor = predictor;
+        self.chaos = None;
     }
 
     /// Install the fault/noise-injection plane on this machine: memory,
@@ -94,8 +105,9 @@ impl Machine {
     /// all-off config) nothing is installed and the machine stays
     /// bit-identical to one that never saw this call.
     ///
-    /// Install once, right after construction, before the first run —
-    /// the predictor injector wraps the current predictor stack.
+    /// Install once, right after construction or
+    /// [`reset`](Machine::reset), before the first run — the predictor
+    /// injector wraps the current predictor stack.
     pub fn set_chaos(&mut self, cfg: &ChaosConfig, seed: u64) {
         if !cfg.mem.is_off() {
             self.mem.set_chaos(Some(MemChaos::new(cfg.mem, seed)));
@@ -103,10 +115,11 @@ impl Machine {
         if !cfg.pipeline.is_off() {
             self.chaos = Some(PipeChaos::new(cfg.pipeline, seed));
         }
-        if !cfg.predictor.is_off() && !self.pred_chaos_installed {
+        // A stack that reports chaos events already holds the wrapper:
+        // never wrap twice.
+        if !cfg.predictor.is_off() && self.predictor.chaos_events().is_none() {
             let inner = std::mem::replace(&mut self.predictor, Box::new(NoPredictor::new()));
             self.predictor = Box::new(ChaoticPredictor::new(inner, cfg.predictor, seed));
-            self.pred_chaos_installed = true;
         }
     }
 

@@ -123,43 +123,85 @@ fn lvp() -> Box<dyn ValuePredictor> {
     }))
 }
 
-/// One machine per configuration: LVP, VTAGE, no predictor, the D-type
-/// defense, the stall-mode front end and chaos level 2.
-fn machines() -> Vec<(&'static str, Machine)> {
+fn vtage() -> Box<dyn ValuePredictor> {
+    Box::new(Vtage::new(VtageConfig {
+        confidence_threshold: 1,
+        ..VtageConfig::default()
+    }))
+}
+
+fn no_vp() -> Box<dyn ValuePredictor> {
+    Box::new(NoPredictor::new())
+}
+
+/// One machine configuration of the sequences.
+struct Config {
+    name: &'static str,
+    core: CoreConfig,
+    predictor: fn() -> Box<dyn ValuePredictor>,
+    seed: u64,
+    chaos: Option<ChaosConfig>,
+}
+
+impl Config {
+    /// A new machine of this configuration.
+    fn build(&self) -> Machine {
+        let mut machine = Machine::new(
+            self.core,
+            MemoryConfig::default(),
+            (self.predictor)(),
+            self.seed,
+        );
+        self.arm(&mut machine);
+        machine
+    }
+
+    /// Reset `machine` to what [`Config::build`] returns.
+    fn reset(&self, machine: &mut Machine) {
+        machine.reset((self.predictor)(), self.seed);
+        self.arm(machine);
+    }
+
+    fn arm(&self, machine: &mut Machine) {
+        if let Some(chaos) = &self.chaos {
+            machine.set_chaos(chaos, self.seed);
+        }
+    }
+}
+
+/// LVP, VTAGE, no predictor, the D-type defense, the stall-mode front
+/// end and chaos level 2.
+fn configs() -> Vec<Config> {
     let core = CoreConfig {
         max_cycles: MAX_CYCLES,
         record_commit_trace: true,
         ..CoreConfig::default()
     };
-    let vtage = Box::new(Vtage::new(VtageConfig {
-        confidence_threshold: 1,
-        ..VtageConfig::default()
-    }));
-    let build = |core: CoreConfig, vp: Box<dyn ValuePredictor>, seed: u64| {
-        Machine::new(core, MemoryConfig::default(), vp, seed)
+    let config = |name, core, predictor, seed| Config {
+        name,
+        core,
+        predictor,
+        seed,
+        chaos: None,
     };
-    let mut chaotic = build(core, lvp(), 0x5e06);
-    chaotic.set_chaos(&ChaosConfig::level(2), 0x5e06);
     vec![
-        ("lvp", build(core, lvp(), 0x5e01)),
-        ("vtage", build(core, vtage, 0x5e02)),
-        ("novp", build(core, Box::new(NoPredictor::new()), 0x5e03)),
-        (
-            "dtype",
-            build(core.with_delayed_side_effects(), lvp(), 0x5e04),
-        ),
-        (
+        config("lvp", core, lvp, 0x5e01),
+        config("vtage", core, vtage, 0x5e02),
+        config("novp", core, no_vp, 0x5e03),
+        config("dtype", core.with_delayed_side_effects(), lvp, 0x5e04),
+        config(
             "stall",
-            build(
-                CoreConfig {
-                    branch_prediction: false,
-                    ..core
-                },
-                lvp(),
-                0x5e05,
-            ),
+            CoreConfig {
+                branch_prediction: false,
+                ..core
+            },
+            lvp,
+            0x5e05,
         ),
-        ("chaos2", chaotic),
+        Config {
+            chaos: Some(ChaosConfig::level(2)),
+            ..config("chaos2", core, lvp, 0x5e06)
+        },
     ]
 }
 
@@ -192,27 +234,72 @@ fn run_line(
     )
 }
 
-fn run_sequences() -> String {
-    let probe = probe_program();
-    let mut out = String::new();
-    for (name, mut machine) in machines() {
-        let mut rng = SmallRng::seed_from_u64(fnv1a(name.as_bytes()));
-        for run in 0..3 * PATTERN.len() {
+/// The programs of `config`'s sequence, each with its ending.
+fn sequence(config: &Config) -> Vec<(Program, Ending)> {
+    let mut rng = SmallRng::seed_from_u64(fnv1a(config.name.as_bytes()));
+    (0..3 * PATTERN.len())
+        .map(|run| {
             let ending = PATTERN[run % PATTERN.len()];
-            let program = program_for(&mut rng, ending);
-            out += &run_line(&mut machine, name, &run.to_string(), &program, ending);
-            if ending != Ending::Halt {
-                out += &run_line(
-                    &mut machine,
-                    name,
-                    &format!("{run}+probe"),
-                    &probe,
-                    Ending::Halt,
-                );
-            }
+            (program_for(&mut rng, ending), ending)
+        })
+        .collect()
+}
+
+/// Run `program` on `machine`, then the probe after an error exit: the
+/// fixture lines of one run.
+fn run_lines(
+    machine: &mut Machine,
+    name: &str,
+    run: usize,
+    program: &Program,
+    ending: Ending,
+) -> String {
+    let mut out = run_line(machine, name, &run.to_string(), program, ending);
+    if ending != Ending::Halt {
+        out += &run_line(
+            machine,
+            name,
+            &format!("{run}+probe"),
+            &probe_program(),
+            Ending::Halt,
+        );
+    }
+    out
+}
+
+fn run_sequences() -> String {
+    let mut out = String::new();
+    for config in configs() {
+        let mut machine = config.build();
+        for (run, (program, ending)) in sequence(&config).iter().enumerate() {
+            out += &run_lines(&mut machine, config.name, run, program, *ending);
         }
     }
     out
+}
+
+/// A machine that ran the earlier programs of its sequence, error exits
+/// included, and was then reset runs every program exactly as a new
+/// machine does, chaos events included.
+#[test]
+fn a_reset_machine_runs_like_a_new_one() {
+    for config in configs() {
+        let mut reused = config.build();
+        for (run, (program, ending)) in sequence(&config).iter().enumerate() {
+            config.reset(&mut reused);
+            let mut fresh = config.build();
+            let lines = |machine: &mut Machine| {
+                let lines = run_lines(machine, config.name, run, program, *ending);
+                (lines, machine.chaos_events())
+            };
+            assert_eq!(
+                lines(&mut reused),
+                lines(&mut fresh),
+                "{} run {run} after a reset",
+                config.name
+            );
+        }
+    }
 }
 
 #[test]
