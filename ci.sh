@@ -8,11 +8,14 @@ set -eux
 cd "$(dirname "$0")"
 
 cargo fmt --all --check
-cargo clippy --workspace --all-targets -- -D warnings
+# `--locked`: a root Cargo.lock that no longer matches the manifests
+# fails here instead of being rewritten silently. Clippy is the first
+# step that resolves the workspace.
+cargo clippy --locked --workspace --all-targets -- -D warnings
 # Rustdoc: a deleted or renamed public item must not leave a broken
 # intra-doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-cargo build --workspace --release
+cargo build --workspace --release --locked
 # Build the test binaries first, so the time limit covers only the run:
 # the suite takes 23-32 s on a 2-core host, and a hang fails CI at 300 s
 # instead of stalling it.

@@ -1,11 +1,11 @@
 //! Typed microarchitectural trace events, the [`TraceSink`] consumer
 //! trait, and the bounded [`RingRecorder`].
 //!
-//! Events are *cycle-stamped by the pipeline*, not by the component that
-//! observed them: the memory hierarchy and predictors have no notion of
-//! the simulated clock, so they buffer unstamped [`TraceEvent`]s which
-//! the executor drains and stamps at the end of the scheduler tick that
-//! produced them.
+//! Events are *cycle-stamped by the pipeline*: the executor stamps its
+//! own events, predictor chaos included, where they happen. The memory
+//! hierarchy has no notion of the simulated clock, so it buffers
+//! unstamped [`TraceEvent`]s which the executor drains and stamps at
+//! the end of the scheduler tick that produced them.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;

@@ -59,13 +59,14 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use vpsim_chaos::PipeChaos;
+use vpsim_chaos::{PipeChaos, PredChaos};
 use vpsim_isa::{Inst, Pc, Program, RegFile, NUM_REGS};
 use vpsim_mem::{Cycles, MemoryHierarchy};
 use vpsim_obs::{TraceEvent, TraceSink};
 use vpsim_predictor::{LoadContext, ValuePredictor};
 
 use crate::cancel::CancelToken;
+use crate::chaos;
 use crate::config::CoreConfig;
 use crate::dyninst::{DynInst, LoadOrigin, Seq, SeqSet, Status};
 use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
@@ -175,6 +176,11 @@ pub(crate) struct Executor<'a> {
     /// a point the cycle-skipping scheduler reaches identically on
     /// every schedule, so chaos runs stay bit-reproducible.
     chaos: Option<&'a mut PipeChaos>,
+    /// The predictor-side fault injector (entry decay, value flips,
+    /// dropped trainings), drawn at the three predictor call sites. Its
+    /// lookup draws follow the stack's `lookup`, so the stack's state
+    /// and statistics evolve as they would without it.
+    pred_chaos: Option<&'a mut PredChaos>,
     /// Cooperative kill flag, polled every `CANCEL_CHECK_MASK + 1`
     /// scheduler ticks at the loop boundary (never mid-phase).
     cancel: Option<&'a CancelToken>,
@@ -194,6 +200,7 @@ impl<'a> Executor<'a> {
         vp: &'a mut dyn ValuePredictor,
         state: &'a mut ExecState,
         chaos: Option<&'a mut PipeChaos>,
+        pred_chaos: Option<&'a mut PredChaos>,
         cancel: Option<&'a CancelToken>,
         tracer: Option<&'a mut dyn TraceSink>,
     ) -> Executor<'a> {
@@ -224,6 +231,7 @@ impl<'a> Executor<'a> {
             halts_in_flight: 0,
             unresolved_branches: 0,
             chaos,
+            pred_chaos,
             cancel,
             tracer,
         }
@@ -237,15 +245,12 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Stamp-and-forward the events the memory hierarchy and predictor
-    /// buffered during this tick. Only called when a tracer is attached.
-    fn drain_component_traces(&mut self) {
-        let Some(sink) = self.tracer.as_deref_mut() else {
-            return;
-        };
-        self.mem.drain_trace(self.cycle, sink);
-        let cycle = self.cycle;
-        self.vp.drain_trace(&mut |ev| sink.record(cycle, ev));
+    /// Train the stack, unless predictor chaos drops the update.
+    fn train(&mut self, ctx: &LoadContext, actual: u64, prediction: Option<u64>) {
+        let chaos = self.pred_chaos.as_deref_mut();
+        if let Some(fault) = chaos::train(&mut *self.vp, chaos, ctx, actual, prediction) {
+            self.emit(fault);
+        }
     }
 
     pub(crate) fn run(mut self) -> Result<RunResult, RunError> {
@@ -271,8 +276,8 @@ impl<'a> Executor<'a> {
             self.issue();
             self.dispatch()?;
             self.commit();
-            if self.tracer.is_some() {
-                self.drain_component_traces();
+            if let Some(sink) = self.tracer.as_deref_mut() {
+                self.mem.drain_trace(self.cycle, sink);
             }
             self.sched.ticks += 1;
             if self.work_this_cycle > 0 || self.halted {
@@ -425,7 +430,7 @@ impl<'a> Executor<'a> {
                 _ => unreachable!("unverified prediction must carry Predicted origin"),
             };
             let ctx = self.ctx_for(pc, addr);
-            self.vp.train(&ctx, actual, Some(predicted));
+            self.train(&ctx, actual, Some(predicted));
             if self.tracer.is_some() {
                 self.emit(TraceEvent::Train {
                     pc: ctx.pc,
@@ -566,7 +571,7 @@ impl<'a> Executor<'a> {
         }
         for i in 0..self.state.trains.len() {
             let (ctx, actual) = self.state.trains[i];
-            self.vp.train(&ctx, actual, None);
+            self.train(&ctx, actual, None);
             if self.tracer.is_some() {
                 self.emit(TraceEvent::Train {
                     pc: ctx.pc,
@@ -808,7 +813,11 @@ impl<'a> Executor<'a> {
         self.stats.vps_lookups += 1;
         let ctx = self.ctx_for(pc, addr);
         let l1_hit_latency = self.mem.config().l1.hit_latency;
-        let prediction = self.vp.lookup(&ctx);
+        let (prediction, fault) =
+            chaos::lookup(&mut *self.vp, self.pred_chaos.as_deref_mut(), &ctx);
+        if let Some(fault) = fault {
+            self.emit(fault);
+        }
         let e = &mut self.state.rob[idx];
         match prediction {
             Some(p) => {

@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 
 mod cancel;
+mod chaos;
 mod config;
 mod dyninst;
 mod executor;

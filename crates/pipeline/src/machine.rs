@@ -6,11 +6,11 @@
 //! cache state trained by one program is observable by the next — the
 //! substrate every attack in the paper builds on.
 
-use vpsim_chaos::{ChaosConfig, ChaosEvents, MemChaos, PipeChaos};
+use vpsim_chaos::{ChaosConfig, ChaosEvents, MemChaos, PipeChaos, PredChaos};
 use vpsim_isa::Program;
 use vpsim_mem::{MemoryConfig, MemoryHierarchy};
 use vpsim_obs::TraceSink;
-use vpsim_predictor::{ChaoticPredictor, NoPredictor, ValuePredictor};
+use vpsim_predictor::ValuePredictor;
 
 use crate::cancel::CancelToken;
 use crate::config::CoreConfig;
@@ -55,7 +55,10 @@ pub struct Machine {
     core: CoreConfig,
     mem: MemoryHierarchy,
     predictor: Box<dyn ValuePredictor>,
-    chaos: Option<PipeChaos>,
+    /// The pipeline and predictor injectors, lent to each run; memory
+    /// chaos lives in the hierarchy.
+    pipe_chaos: Option<PipeChaos>,
+    pred_chaos: Option<PredChaos>,
     /// The executor's buffers, lent to each run (which clears them
     /// first) so warm runs do not allocate them again.
     exec: ExecState,
@@ -79,7 +82,8 @@ impl Machine {
             core,
             mem: MemoryHierarchy::new(mem_config, seed),
             predictor,
-            chaos: None,
+            pipe_chaos: None,
+            pred_chaos: None,
             exec: ExecState::default(),
         }
     }
@@ -89,50 +93,53 @@ impl Machine {
     /// is [reset](MemoryHierarchy::reset) (empty caches, TLB and memory,
     /// zeroed statistics, jitter and random-replacement streams
     /// reseeded from `seed`), `predictor` replaces the current one, and
-    /// the memory, pipeline and predictor chaos are removed so that
-    /// [`set_chaos`](Machine::set_chaos) can arm them again. Every run
-    /// clears the executor state itself. Costs time proportional to
-    /// what the runs since the last reset touched.
+    /// the memory, pipeline and predictor injectors are dropped, so the
+    /// machine runs without chaos until
+    /// [`set_chaos`](Machine::set_chaos) arms it again. Every run clears
+    /// the executor state itself. Costs time proportional to what the
+    /// runs since the last reset touched.
     pub fn reset(&mut self, predictor: Box<dyn ValuePredictor>, seed: u64) {
         self.mem.reset(seed);
         self.predictor = predictor;
-        self.chaos = None;
+        self.pipe_chaos = None;
+        self.pred_chaos = None;
     }
 
-    /// Install the fault/noise-injection plane on this machine: memory,
-    /// pipeline and predictor injectors, each on its own domain-tagged
-    /// stream derived from `seed`. With [`ChaosConfig::off`] (or any
-    /// all-off config) nothing is installed and the machine stays
-    /// bit-identical to one that never saw this call.
+    /// Install the fault/noise-injection plane on this machine: the
+    /// memory injector in the hierarchy, and the pipeline and predictor
+    /// injectors, which every run lends to the executor. Each draws from
+    /// its own domain-tagged stream derived from `seed`. A domain whose
+    /// config is off installs nothing, so with [`ChaosConfig::off`] (or
+    /// any all-off config) the machine stays bit-identical to one that
+    /// never saw this call.
     ///
-    /// Install once, right after construction or
-    /// [`reset`](Machine::reset), before the first run — the predictor
-    /// injector wraps the current predictor stack.
+    /// Installing replaces any engine already installed in that domain,
+    /// so arming twice is arming once with the second call's seed. The
+    /// predictor injector acts on the calls the pipeline makes to the
+    /// predictor, so it applies to whatever stack the machine holds.
     pub fn set_chaos(&mut self, cfg: &ChaosConfig, seed: u64) {
         if !cfg.mem.is_off() {
             self.mem.set_chaos(Some(MemChaos::new(cfg.mem, seed)));
         }
         if !cfg.pipeline.is_off() {
-            self.chaos = Some(PipeChaos::new(cfg.pipeline, seed));
+            self.pipe_chaos = Some(PipeChaos::new(cfg.pipeline, seed));
         }
-        // A stack that reports chaos events already holds the wrapper:
-        // never wrap twice.
-        if !cfg.predictor.is_off() && self.predictor.chaos_events().is_none() {
-            let inner = std::mem::replace(&mut self.predictor, Box::new(NoPredictor::new()));
-            self.predictor = Box::new(ChaoticPredictor::new(inner, cfg.predictor, seed));
+        if !cfg.predictor.is_off() {
+            self.pred_chaos = Some(PredChaos::new(cfg.predictor, seed));
         }
     }
 
-    /// The chaos event log: injected events across all three domains
-    /// since the plane was installed (all-zero when it never was).
+    /// The chaos event log: the events the installed memory, pipeline
+    /// and predictor injectors have injected, merged (all-zero when none
+    /// is installed).
     #[must_use]
     pub fn chaos_events(&self) -> ChaosEvents {
         let mut events = self.mem.chaos_events();
-        if let Some(ch) = &self.chaos {
+        if let Some(ch) = &self.pipe_chaos {
             events.merge(ch.events());
         }
-        if let Some(pred_events) = self.predictor.chaos_events() {
-            events.merge(&pred_events);
+        if let Some(ch) = &self.pred_chaos {
+            events.merge(ch.events());
         }
         events
     }
@@ -164,12 +171,12 @@ impl Machine {
         let RunCtl { cancel, tracer } = ctl;
         // Shorten the sink's trait-object lifetime to this call's borrows.
         let tracer = tracer.map(|sink| sink as &mut dyn TraceSink);
-        // Component-side tracing is on for this call only: it is switched
-        // off again (dropping partial buffers) on every return path.
+        // The hierarchy buffers its events for this call only: its
+        // tracing is switched off again (dropping a partial buffer) on
+        // every return path.
         let traced = tracer.is_some();
         if traced {
             self.mem.set_tracing(true);
-            self.predictor.set_tracing(true);
         }
         let result = Executor::new(
             self.core,
@@ -178,14 +185,14 @@ impl Machine {
             &mut self.mem,
             self.predictor.as_mut(),
             &mut self.exec,
-            self.chaos.as_mut(),
+            self.pipe_chaos.as_mut(),
+            self.pred_chaos.as_mut(),
             cancel,
             tracer,
         )
         .run();
         if traced {
             self.mem.set_tracing(false);
-            self.predictor.set_tracing(false);
         }
         result
     }
@@ -214,11 +221,6 @@ impl Machine {
         self.predictor.as_ref()
     }
 
-    /// Reset the predictor state (a fresh VPS, as between trial groups).
-    pub fn reset_predictor(&mut self) {
-        self.predictor.reset();
-    }
-
     /// Invalidate caches and TLB, keeping memory contents and predictor
     /// state (a cold microarchitectural start between trials).
     pub fn cold_caches(&mut self) {
@@ -229,7 +231,9 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpsim_chaos::PredChaosConfig;
     use vpsim_isa::{ProgramBuilder, Reg};
+    use vpsim_obs::{RingRecorder, TraceEvent};
     use vpsim_predictor::{Lvp, LvpConfig, NoPredictor};
 
     fn machine(vp: Box<dyn ValuePredictor>) -> Machine {
@@ -420,6 +424,145 @@ mod tests {
         ] {
             assert!(kinds.contains(kind), "expected {kind} events in trace");
         }
+    }
+
+    /// 200 passes of a flush and a load of one word: every load misses
+    /// the L1 and asks the predictor, and the LVP, which needs three
+    /// observations, predicts from the fourth pass on.
+    fn flush_load_loop() -> Program {
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::R1, 0x1000).li(Reg::R3, 0).li(Reg::R4, 200);
+        b.label("loop").unwrap();
+        b.flush(Reg::R1, 0)
+            .load(Reg::R2, Reg::R1, 0)
+            .addi(Reg::R3, Reg::R3, 1)
+            .blt(Reg::R3, Reg::R4, "loop")
+            .halt();
+        b.build().unwrap()
+    }
+
+    /// An LVP machine with only the predictor injectors armed, on chaos
+    /// seed 9.
+    fn predictor_chaos_machine(predictor: PredChaosConfig) -> Machine {
+        let mut m = machine(Box::new(Lvp::new(LvpConfig::default())));
+        m.mem_mut().store_value(0x1000, 42);
+        let cfg = ChaosConfig {
+            predictor,
+            ..ChaosConfig::off()
+        };
+        m.set_chaos(&cfg, 9);
+        m
+    }
+
+    /// One traced run of [`flush_load_loop`].
+    fn traced_loop_run(m: &mut Machine) -> (RunResult, Vec<TraceEvent>) {
+        let mut sink = RingRecorder::new(1 << 16);
+        let ctl = RunCtl {
+            cancel: None,
+            tracer: Some(&mut sink),
+        };
+        let result = m.run_with(1, &flush_load_loop(), ctl).unwrap();
+        assert_eq!(sink.dropped(), 0, "ring sized for the whole trace");
+        (result, sink.events().map(|(_, e)| *e).collect())
+    }
+
+    #[test]
+    fn set_chaos_twice_equals_once_with_the_second_seed() {
+        let mut cfg = ChaosConfig::level(2);
+        cfg.predictor = PredChaosConfig {
+            decay_prob: 0.2,
+            flip_prob: 0.25,
+            drop_train_prob: 0.3,
+        };
+        let run = |seeds: &[u64]| {
+            let mut m = machine(Box::new(Lvp::new(LvpConfig::default())));
+            m.mem_mut().store_value(0x1000, 42);
+            for &seed in seeds {
+                m.set_chaos(&cfg, seed);
+            }
+            let results: Vec<RunResult> = (0..2)
+                .map(|_| m.run(1, &flush_load_loop()).unwrap())
+                .collect();
+            (results, m.chaos_events())
+        };
+        let (results, events) = run(&[11, 12]);
+        assert!(events.predictions_decayed > 0 && events.trainings_dropped > 0);
+        assert_eq!((results, events), run(&[12]), "every domain is re-armed");
+    }
+
+    #[test]
+    fn predictor_decay_suppresses_every_prediction() {
+        let mut m = predictor_chaos_machine(PredChaosConfig {
+            decay_prob: 1.0,
+            ..PredChaosConfig::off()
+        });
+        let r = m.run(1, &flush_load_loop()).unwrap();
+        assert_eq!(r.stats.predicted_loads, 0);
+        let predictions = m.predictor().stats().predictions;
+        assert_eq!(predictions, 197, "the stack still predicted");
+        assert_eq!(m.chaos_events().predictions_decayed, predictions);
+    }
+
+    #[test]
+    fn predictor_flips_change_one_bit_and_mispredict() {
+        let mut m = predictor_chaos_machine(PredChaosConfig {
+            flip_prob: 1.0,
+            ..PredChaosConfig::off()
+        });
+        let (r, events) = traced_loop_run(&mut m);
+        assert_eq!(r.stats.predicted_loads, 197);
+        assert_eq!(r.stats.mispredictions, r.stats.predicted_loads);
+        assert_eq!(m.chaos_events().values_flipped, r.stats.predicted_loads);
+        let mut flips = 0;
+        for event in events {
+            if let TraceEvent::PredFlip {
+                original,
+                perturbed,
+                ..
+            } = event
+            {
+                assert_eq!((original ^ perturbed).count_ones(), 1, "one flipped bit");
+                flips += 1;
+            }
+        }
+        assert_eq!(flips, r.stats.predicted_loads);
+    }
+
+    #[test]
+    fn predictor_dropped_trainings_stall_learning() {
+        let mut m = predictor_chaos_machine(PredChaosConfig {
+            drop_train_prob: 1.0,
+            ..PredChaosConfig::off()
+        });
+        let r = m.run(1, &flush_load_loop()).unwrap();
+        assert_eq!(r.stats.vps_lookups, 200);
+        assert_eq!(m.predictor().stats().trainings, 0);
+        assert_eq!(m.chaos_events().trainings_dropped, r.stats.vps_lookups);
+        assert_eq!(r.stats.predicted_loads, 0);
+        assert_eq!(m.predictor().stats().predictions, 0);
+    }
+
+    #[test]
+    fn predictor_chaos_events_are_traced_without_changing_the_run() {
+        let cfg = PredChaosConfig {
+            decay_prob: 0.3,
+            flip_prob: 0.3,
+            drop_train_prob: 0.3,
+        };
+        let mut plain = predictor_chaos_machine(cfg);
+        let mut traced = predictor_chaos_machine(cfg);
+        let untraced = plain.run(1, &flush_load_loop()).unwrap();
+        let (result, events) = traced_loop_run(&mut traced);
+        assert_eq!(result, untraced, "tracing must not perturb chaos");
+        let counters = traced.chaos_events();
+        assert_eq!(counters, plain.chaos_events());
+        let count = |kind| events.iter().filter(|e| e.kind() == kind).count() as u64;
+        assert!(counters.predictions_decayed > 0);
+        assert!(counters.values_flipped > 0);
+        assert!(counters.trainings_dropped > 0);
+        assert_eq!(count("pred_decay"), counters.predictions_decayed);
+        assert_eq!(count("pred_flip"), counters.values_flipped);
+        assert_eq!(count("pred_drop_train"), counters.trainings_dropped);
     }
 
     #[test]

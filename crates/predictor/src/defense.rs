@@ -44,7 +44,6 @@ pub struct AlwaysPredict<P> {
     index: IndexConfig,
     /// Last observed value per index, for [`AlwaysMode::History`].
     last_seen: HashMap<u64, u64>,
-    forced: u64,
 }
 
 impl<P: ValuePredictor> AlwaysPredict<P> {
@@ -58,20 +57,7 @@ impl<P: ValuePredictor> AlwaysPredict<P> {
             mode,
             index,
             last_seen: HashMap::new(),
-            forced: 0,
         }
-    }
-
-    /// How many predictions were forced (inner predictor had declined).
-    #[must_use]
-    pub fn forced_predictions(&self) -> u64 {
-        self.forced
-    }
-
-    /// Access the wrapped predictor.
-    #[must_use]
-    pub fn inner(&self) -> &P {
-        &self.inner
     }
 }
 
@@ -80,7 +66,6 @@ impl<P: ValuePredictor> ValuePredictor for AlwaysPredict<P> {
         if let Some(p) = self.inner.lookup(ctx) {
             return Some(p);
         }
-        self.forced += 1;
         let value = match self.mode {
             AlwaysMode::Fixed(v) => v,
             AlwaysMode::History => {
@@ -101,30 +86,8 @@ impl<P: ValuePredictor> ValuePredictor for AlwaysPredict<P> {
         self.inner.train(ctx, actual, prediction);
     }
 
-    fn reset(&mut self) {
-        self.last_seen.clear();
-        self.forced = 0;
-        self.inner.reset();
-    }
-
     fn stats(&self) -> PredictorStats {
         self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "always+inner"
-    }
-
-    fn chaos_events(&self) -> Option<vpsim_chaos::ChaosEvents> {
-        self.inner.chaos_events()
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.inner.set_tracing(on);
-    }
-
-    fn drain_trace(&mut self, f: &mut dyn FnMut(vpsim_obs::TraceEvent)) {
-        self.inner.drain_trace(f);
     }
 }
 
@@ -140,7 +103,6 @@ pub struct RandomWindow<P> {
     inner: P,
     window: u64,
     rng: SmallRng,
-    perturbed: u64,
 }
 
 impl<P: ValuePredictor> RandomWindow<P> {
@@ -158,20 +120,7 @@ impl<P: ValuePredictor> RandomWindow<P> {
             inner,
             window,
             rng: SmallRng::seed_from_u64(seed),
-            perturbed: 0,
         }
-    }
-
-    /// The configured window size `S`.
-    #[must_use]
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// How many predictions were perturbed away from the inner value.
-    #[must_use]
-    pub fn perturbed_predictions(&self) -> u64 {
-        self.perturbed
     }
 }
 
@@ -186,9 +135,6 @@ impl<P: ValuePredictor> ValuePredictor for RandomWindow<P> {
         let lo_off = (self.window - 1) / 2;
         let pick = self.rng.gen_range(0..self.window);
         let value = p.value.wrapping_sub(lo_off).wrapping_add(pick);
-        if value != p.value {
-            self.perturbed += 1;
-        }
         Some(Predicted { value, ..p })
     }
 
@@ -196,29 +142,8 @@ impl<P: ValuePredictor> ValuePredictor for RandomWindow<P> {
         self.inner.train(ctx, actual, prediction);
     }
 
-    fn reset(&mut self) {
-        self.perturbed = 0;
-        self.inner.reset();
-    }
-
     fn stats(&self) -> PredictorStats {
         self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "random-window+inner"
-    }
-
-    fn chaos_events(&self) -> Option<vpsim_chaos::ChaosEvents> {
-        self.inner.chaos_events()
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.inner.set_tracing(on);
-    }
-
-    fn drain_trace(&mut self, f: &mut dyn FnMut(vpsim_obs::TraceEvent)) {
-        self.inner.drain_trace(f);
     }
 }
 
@@ -327,7 +252,6 @@ mod tests {
         );
         let p = vp.lookup(&ctx(0x40)).expect("A-type always predicts");
         assert_eq!(p.value, 99);
-        assert_eq!(vp.forced_predictions(), 1);
     }
 
     #[test]
@@ -355,7 +279,6 @@ mod tests {
             5,
             "inner wins when confident"
         );
-        assert_eq!(vp.forced_predictions(), 0);
     }
 
     #[test]
@@ -368,7 +291,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(vp.lookup(&ctx(0x40)).unwrap().value, 7);
         }
-        assert_eq!(vp.perturbed_predictions(), 0);
     }
 
     #[test]

@@ -219,19 +219,8 @@ impl ValuePredictor for Fcm {
         }
     }
 
-    fn reset(&mut self) {
-        self.level1.clear();
-        self.level2.clear();
-        self.stats = PredictorStats::default();
-        self.next_seq = 0;
-    }
-
     fn stats(&self) -> PredictorStats {
         self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "fcm"
     }
 }
 
@@ -322,17 +311,6 @@ mod tests {
         drive(&mut vp, 0x48, 3);
         assert_eq!(vp.occupancy().0, 2);
         assert!(vp.stats().evictions >= 1);
-    }
-
-    #[test]
-    fn reset_clears_both_levels() {
-        let mut vp = Fcm::new(FcmConfig::default());
-        for _ in 0..5 {
-            drive(&mut vp, 0x40, 1);
-        }
-        vp.reset();
-        assert_eq!(vp.occupancy(), (0, 0));
-        assert!(vp.lookup(&ctx(0x40)).is_none());
     }
 
     #[test]

@@ -45,7 +45,6 @@
 
 #![forbid(unsafe_code)]
 
-mod chaos;
 mod defense;
 mod fcm;
 mod index;
@@ -55,7 +54,6 @@ mod stats;
 mod stride;
 mod vtage;
 
-pub use chaos::ChaoticPredictor;
 pub use defense::{AlwaysMode, AlwaysPredict, DefenseSpec, RandomWindow};
 pub use fcm::{Fcm, FcmConfig};
 pub use index::{IndexConfig, IndexKind};
@@ -90,7 +88,7 @@ pub struct Predicted {
 
 /// A load-value predictor, consulted on L1-miss loads.
 ///
-/// The pipeline drives the protocol:
+/// The pipeline asks a predictor for exactly two things (Figure 1):
 ///
 /// 1. on an L1-miss load it calls [`lookup`](ValuePredictor::lookup); a
 ///    `Some` return lets dependents execute on the speculative value;
@@ -99,44 +97,23 @@ pub struct Predicted {
 ///    any), so the predictor can update confidence/usefulness/VHist and
 ///    its accuracy statistics.
 ///
-/// Implementations must be deterministic for a given seed.
+/// The A and R defenses wrap these two calls. Predictor chaos (entry
+/// decay, value bit-flips, dropped trainings) is not a predictor: the
+/// pipeline applies it around the same two calls, so any stack sees
+/// it. Implementations must be deterministic for a given seed.
 pub trait ValuePredictor: std::fmt::Debug + Send {
     /// Consult the predictor for a missing load. Returns `None` when the
     /// indexed entry is absent or below the confidence threshold.
     fn lookup(&mut self, ctx: &LoadContext) -> Option<Predicted>;
 
     /// Train with the `actual` loaded value once the miss resolves.
-    /// `prediction` is the value returned by the preceding `lookup` (after
-    /// any defense perturbation), used for accuracy accounting.
+    /// `prediction` is the value the pipeline forwarded for the preceding
+    /// `lookup` (after any defense perturbation and predictor chaos),
+    /// used for accuracy accounting.
     fn train(&mut self, ctx: &LoadContext, actual: u64, prediction: Option<u64>);
-
-    /// Clear all predictor state and statistics.
-    fn reset(&mut self);
 
     /// Accuracy and occupancy statistics.
     fn stats(&self) -> PredictorStats;
-
-    /// A short human-readable name for reports ("lvp", "vtage", ...).
-    fn name(&self) -> &'static str;
-
-    /// Counters of injected predictor-chaos events, when this predictor
-    /// stack contains a fault-injection wrapper ([`ChaoticPredictor`]).
-    /// Plain predictors report `None`.
-    fn chaos_events(&self) -> Option<vpsim_chaos::ChaosEvents> {
-        None
-    }
-
-    /// Enable or disable event tracing in this predictor stack. Only
-    /// fault-injection wrappers emit events today; plain predictors
-    /// ignore the call. Tracing is purely observational — it never
-    /// changes predictions, state or statistics.
-    fn set_tracing(&mut self, _on: bool) {}
-
-    /// Drain buffered trace events (unstamped — the pipeline stamps
-    /// them with the simulated cycle). A no-op for plain predictors.
-    /// Wrappers must forward to their inner predictor so a chaotic
-    /// layer anywhere in the stack stays reachable.
-    fn drain_trace(&mut self, _f: &mut dyn FnMut(vpsim_obs::TraceEvent)) {}
 }
 
 /// A no-op predictor: never predicts. This is the paper's "no VP"
@@ -165,16 +142,8 @@ impl ValuePredictor for NoPredictor {
         self.stats.trainings += 1;
     }
 
-    fn reset(&mut self) {
-        self.stats = PredictorStats::default();
-    }
-
     fn stats(&self) -> PredictorStats {
         self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
     }
 }
 
@@ -197,17 +166,5 @@ mod tests {
         assert_eq!(vp.stats().lookups, 10);
         assert_eq!(vp.stats().no_predictions, 10);
         assert_eq!(vp.stats().predictions, 0);
-    }
-
-    #[test]
-    fn no_predictor_reset_clears_stats() {
-        let mut vp = NoPredictor::new();
-        vp.lookup(&LoadContext {
-            pc: 0,
-            addr: 0,
-            pid: 0,
-        });
-        vp.reset();
-        assert_eq!(vp.stats(), PredictorStats::default());
     }
 }

@@ -208,18 +208,8 @@ impl ValuePredictor for Lvp {
         }
     }
 
-    fn reset(&mut self) {
-        self.table.clear();
-        self.stats = PredictorStats::default();
-        self.next_seq = 0;
-    }
-
     fn stats(&self) -> PredictorStats {
         self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "lvp"
     }
 }
 
@@ -391,17 +381,6 @@ mod tests {
             vp.train(&c, 3, None);
         }
         assert_eq!(vp.entry_view(&c).unwrap().confidence, 5);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut vp = lvp();
-        for _ in 0..4 {
-            vp.train(&ctx(0x40), 1, None);
-        }
-        vp.reset();
-        assert_eq!(vp.occupancy(), 0);
-        assert!(vp.lookup(&ctx(0x40)).is_none());
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl<P: ValuePredictor> Oracle<P> {
         self.targets.insert(pc);
     }
 
-    /// Access the wrapped predictor.
-    #[must_use]
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
     /// Unwrap, returning the inner predictor.
     #[must_use]
     pub fn into_inner(self) -> P {
@@ -61,28 +55,8 @@ impl<P: ValuePredictor> ValuePredictor for Oracle<P> {
         self.inner.train(ctx, actual, prediction);
     }
 
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
     fn stats(&self) -> PredictorStats {
         self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn chaos_events(&self) -> Option<vpsim_chaos::ChaosEvents> {
-        self.inner.chaos_events()
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.inner.set_tracing(on);
-    }
-
-    fn drain_trace(&mut self, f: &mut dyn FnMut(vpsim_obs::TraceEvent)) {
-        self.inner.drain_trace(f);
     }
 }
 

@@ -155,18 +155,8 @@ impl ValuePredictor for Stride {
         }
     }
 
-    fn reset(&mut self) {
-        self.table.clear();
-        self.stats = PredictorStats::default();
-        self.next_seq = 0;
-    }
-
     fn stats(&self) -> PredictorStats {
         self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "stride"
     }
 }
 

@@ -282,26 +282,8 @@ impl ValuePredictor for Vtage {
         }
     }
 
-    fn reset(&mut self) {
-        for e in &mut self.base {
-            *e = BaseEntry::default();
-        }
-        for t in &mut self.tagged {
-            for e in t.iter_mut() {
-                *e = TaggedEntry::default();
-            }
-        }
-        self.history.clear();
-        self.last_provider = None;
-        self.stats = PredictorStats::default();
-    }
-
     fn stats(&self) -> PredictorStats {
         self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "vtage"
     }
 }
 
@@ -365,18 +347,6 @@ mod tests {
         vp.train(&c, 99, Some(p.value)); // mispredict
         assert!(vp.occupancy() > before, "tagged allocation on mispredict");
         assert_eq!(vp.stats().incorrect, 1);
-    }
-
-    #[test]
-    fn reset_restores_empty_state() {
-        let mut vp = Vtage::new(VtageConfig::default());
-        for _ in 0..4 {
-            vp.lookup(&ctx(0x40));
-            vp.train(&ctx(0x40), 1, None);
-        }
-        vp.reset();
-        assert_eq!(vp.occupancy(), 0);
-        assert!(vp.lookup(&ctx(0x40)).is_none());
     }
 
     #[test]
