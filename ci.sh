@@ -37,6 +37,13 @@ cargo run --release -p vpsim-bench --bin bench_pipeline -- \
 cargo run --release -p vpsim-bench --bin bench_pipeline -- \
     --quick --traced --check BENCH_pipeline.quick.json
 
+# The full matrix (under a second) runs each kernel four times as long
+# as the quick one, and its cycles and scheduler counters must match
+# the committed baseline exactly too; its `constant_table` keeps the
+# 64-entry ROB full of consumers waiting for wakeup.
+cargo run --release -p vpsim-bench --bin bench_pipeline -- \
+    --check BENCH_pipeline.json
+
 # Trace-determinism smoke: `repro --trace` is a pure function of
 # (traced zoo, trials, seeds) — invocations at different worker counts
 # must dump byte-identical JSONL.

@@ -289,12 +289,6 @@ impl MemChaos {
         }
     }
 
-    /// The configured intensities.
-    #[must_use]
-    pub fn config(&self) -> &MemChaosConfig {
-        &self.cfg
-    }
-
     /// Injected-event counters so far.
     #[must_use]
     pub fn events(&self) -> &ChaosEvents {
@@ -373,12 +367,6 @@ impl PipeChaos {
         }
     }
 
-    /// The configured intensities.
-    #[must_use]
-    pub fn config(&self) -> &PipeChaosConfig {
-        &self.cfg
-    }
-
     /// Injected-event counters so far.
     #[must_use]
     pub fn events(&self) -> &ChaosEvents {
@@ -422,12 +410,6 @@ impl PredChaos {
             rng: SmallRng::seed_from_u64(derive(seed, TAG_PRED)),
             events: ChaosEvents::default(),
         }
-    }
-
-    /// The configured intensities.
-    #[must_use]
-    pub fn config(&self) -> &PredChaosConfig {
-        &self.cfg
     }
 
     /// Injected-event counters so far.

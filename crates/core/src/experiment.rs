@@ -320,7 +320,7 @@ fn run_steps(
             let result = run(step.party.pid(), &step.program, step.label)?;
             total_cycles += result.cycles;
             sched.merge(&result.sched);
-            last_window = result.timing_windows().first().copied();
+            last_window = result.timing_window(0);
         }
         if i == trial.observe_step {
             observed = last_window.expect("observed step must contain an rdtsc pair") as f64;

@@ -208,7 +208,7 @@ impl Programs {
         let r = machine
             .run(2, &self.trigger)
             .expect("receiver trigger runs");
-        r.timing_windows()[0] as f64
+        r.timing_window(0).expect("the trigger times one window") as f64
     }
 
     /// One known `(mapped, unmapped)` probe pair, each on a fresh

@@ -166,7 +166,7 @@ fn resetting_a_warm_machine_allocates_nothing() {
 /// Allocations of one warm Table III paired trial: the Train+Test
 /// timing-window LVP cell's pair 5, on a thread whose machine slot has
 /// run that cell's earlier pairs.
-const WARM_PAIR_ALLOCATIONS: u64 = 21;
+const WARM_PAIR_ALLOCATIONS: u64 = 15;
 
 #[test]
 fn a_warm_paired_trial_allocates_less_than_a_cold_one() {

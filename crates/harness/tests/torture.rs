@@ -24,14 +24,14 @@
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use vpsec::attacks::{AttackCategory, AttackSetup};
 use vpsec::experiment::{Channel, Evaluation, ExperimentConfig, PredictorKind};
 use vpsim_harness::{
     Campaign, CampaignSpec, CellOutcome, CellSpec, Exec, FaultPlan, FaultyIo, FleetConfig,
-    JobRecord, SinkIo, WorkerBackend,
+    JobObserver, JobRecord, SinkIo, WorkerBackend,
 };
 use vpsim_pipeline::CancelToken;
 use vpsim_rng::SmallRng;
@@ -460,10 +460,58 @@ fn my_children() -> Vec<u32> {
     out
 }
 
-/// Torture plane 4a: SIGKILL a worker mid-campaign. The supervisor must
-/// contain the crash, re-dispatch the lost job into a respawned worker,
-/// and finish with evaluations AND a manifest payload bit-identical to
-/// the thread-backend run.
+/// An observer that holds each lane at its finished jobs until
+/// [`KillGate::open`]: a fleet whose every lane has parked here has all
+/// its workers spawned and idle, and cannot finish its campaign.
+#[derive(Debug, Default)]
+struct KillGate {
+    /// Jobs finished so far, and whether the gate is open.
+    state: Mutex<(usize, bool)>,
+    cond: Condvar,
+}
+
+impl KillGate {
+    /// Wait until `jobs` jobs have finished, or `deadline` passes.
+    fn await_jobs(&self, jobs: usize, deadline: Instant) -> bool {
+        let mut state = self.state.lock().expect("gate lock");
+        while state.0 < jobs {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            state = self.cond.wait_timeout(state, left).expect("gate lock").0;
+        }
+        true
+    }
+
+    /// Release every parked lane for good; returns the jobs finished
+    /// before the gate opened.
+    fn open(&self) -> usize {
+        let mut state = self.state.lock().expect("gate lock");
+        state.1 = true;
+        self.cond.notify_all();
+        state.0
+    }
+}
+
+impl JobObserver for KillGate {
+    fn job_done(&self, _rec: &JobRecord, resumed: bool) {
+        if resumed {
+            return;
+        }
+        let mut state = self.state.lock().expect("gate lock");
+        state.0 += 1;
+        self.cond.notify_all();
+        while !state.1 {
+            state = self.cond.wait(state).expect("gate lock");
+        }
+    }
+}
+
+/// Torture plane 4a: SIGKILL the workers mid-campaign. The supervisor
+/// must contain the crashes, re-dispatch the lost jobs into respawned
+/// workers, and finish with evaluations AND a manifest payload
+/// bit-identical to the thread-backend run.
 #[test]
 fn a_sigkilled_worker_mid_campaign_is_contained_and_bit_identical() {
     let _guard = fleet_guard();
@@ -485,13 +533,18 @@ fn a_sigkilled_worker_mid_campaign_is_contained_and_bit_identical() {
         "reference run records all jobs"
     );
 
-    // Process-backend run; SIGKILL the first worker the moment its pid
-    // hits the board (i.e. with the campaign's jobs still in flight).
+    // Process-backend run on two lanes. The gate parks each lane at its
+    // first finished job, so once two jobs are done both workers are
+    // spawned and idle and 38 jobs are still queued. The killer then
+    // SIGKILLs every worker and opens the gate: whichever lane takes
+    // the next job finds its worker dead.
     let pids: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+    let gate = Arc::new(KillGate::default());
     let dir = scratch_dir("fleet-kill");
     let exec = Exec {
         jobs: 2,
         resume: Some(dir.clone()),
+        observer: Some(Arc::clone(&gate) as Arc<dyn JobObserver>),
         backend: WorkerBackend::Process(FleetConfig {
             pids: Some(Arc::clone(&pids)),
             ..fleet_cfg(2)
@@ -499,24 +552,30 @@ fn a_sigkilled_worker_mid_campaign_is_contained_and_bit_identical() {
         ..Exec::default()
     };
     let killer_pids = Arc::clone(&pids);
+    let killer_gate = Arc::clone(&gate);
     let killer = std::thread::spawn(move || {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let first = killer_pids.lock().unwrap().first().copied();
-            if let Some(pid) = first {
-                return Command::new("kill")
+        let parked = killer_gate.await_jobs(2, Instant::now() + Duration::from_secs(10));
+        let workers = killer_pids.lock().expect("pid board").clone();
+        let killed = parked
+            && workers.len() == 2
+            && workers.iter().all(|pid| {
+                Command::new("kill")
                     .args(["-9", &pid.to_string()])
                     .status()
-                    .is_ok_and(|s| s.success());
-            }
-            if Instant::now() > deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+                    .is_ok_and(|s| s.success())
+            });
+        (killed, killer_gate.open())
     });
     let outcome = spec.to_campaign().run(&exec).unwrap();
-    assert!(killer.join().unwrap(), "the killer must reach a worker pid");
+    let (killed, done_before_kill) = killer.join().unwrap();
+    assert!(
+        killed,
+        "both lanes park and the killer reaches both workers"
+    );
+    assert_eq!(
+        done_before_kill, 2,
+        "the kill lands with 38 of 40 jobs left"
+    );
 
     assert!(
         outcome.stats.worker_crashes >= 1,

@@ -1,6 +1,9 @@
 //! Sparse word-granularity backing store.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+use vpsim_rng::U64Hasher;
 
 use crate::Addr;
 
@@ -9,14 +12,29 @@ use crate::Addr;
 const PAGE_WORDS: usize = 512;
 const PAGE_BYTES: u64 = (PAGE_WORDS * 8) as u64;
 
+type Page = Box<[u64; PAGE_WORDS]>;
+
 /// Sparse main-memory contents, 8-byte word granularity.
 ///
 /// All simulator data accesses are 8-byte aligned words — attack programs
 /// index arrays in multiples of 8 bytes, matching 64-bit loads in the
 /// paper's PoCs. Unwritten memory reads as zero.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct BackingStore {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    pages: HashMap<u64, Page, BuildHasherDefault<U64Hasher>>,
+    /// Pages a [`reset`](BackingStore::reset) released, reused (zeroed)
+    /// before a new one is allocated. Its capacity covers every page
+    /// the store owns, so a reset never allocates.
+    free: Vec<Page>,
+}
+
+/// The contents only: the free pages are not part of the store's value.
+impl std::fmt::Debug for BackingStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BackingStore")
+            .field("pages", &self.pages)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BackingStore {
@@ -51,19 +69,32 @@ impl BackingStore {
     /// Panics if `addr` is not 8-byte aligned.
     pub fn write(&mut self, addr: Addr, value: u64) {
         let (page, word) = Self::split(addr);
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0; PAGE_WORDS]))[word] = value;
+        let free = &mut self.free;
+        let live = self.pages.len();
+        self.pages.entry(page).or_insert_with(|| match free.pop() {
+            Some(mut reused) => {
+                reused.fill(0);
+                reused
+            }
+            None => {
+                // Room for every page owned once this one is: the live
+                // ones, the free ones and this one.
+                free.reserve(live + 1);
+                Box::new([0; PAGE_WORDS])
+            }
+        })[word] = value;
     }
 
     /// Forget every word: the store reads all-zero again, as
     /// [`BackingStore::new`] builds it, in time proportional to the
-    /// pages allocated.
+    /// pages allocated. The pages are kept for reuse, so this allocates
+    /// nothing.
     pub fn reset(&mut self) {
-        self.pages.clear();
+        self.free.extend(self.pages.drain().map(|(_, page)| page));
     }
 
-    /// Number of sparse pages currently allocated.
+    /// Number of sparse pages currently allocated (holding words since
+    /// the last reset).
     #[must_use]
     pub fn allocated_pages(&self) -> usize {
         self.pages.len()
@@ -148,6 +179,34 @@ mod tests {
         assert_eq!(m.allocated_pages(), 0);
         assert_eq!(m.read(0x1000), 0);
         assert_eq!(m.read(1 << 30), 0);
+    }
+
+    #[test]
+    fn a_reused_page_reads_zero_but_the_word_written() {
+        let mut m = BackingStore::new();
+        let (a, b) = (0x1000, 7 * PAGE_BYTES);
+        for word in 0..PAGE_WORDS as u64 {
+            m.write(a + 8 * word, word + 1);
+        }
+        m.reset();
+        assert_eq!(m.allocated_pages(), 0);
+        // Page B takes page A's released buffer.
+        m.write(b + 8, 99);
+        assert_eq!(m.allocated_pages(), 1);
+        assert_eq!(m.read_words(b, PAGE_WORDS)[1], 99);
+        for word in (0..PAGE_WORDS as u64).filter(|&w| w != 1) {
+            assert_eq!(m.read(b + 8 * word), 0, "word {word} of the reused page");
+        }
+        assert_eq!(m.read(a), 0, "page A is forgotten");
+        m.write(a, 5);
+        assert_eq!(m.allocated_pages(), 2, "a second page is a new one");
+        m.reset();
+        let fresh = BackingStore::new();
+        assert_eq!(
+            format!("{m:?}"),
+            format!("{fresh:?}"),
+            "free pages stay out of Debug"
+        );
     }
 
     #[test]

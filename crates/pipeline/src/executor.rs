@@ -34,14 +34,17 @@
 //! Within a ticked cycle, the phases run on indexed structures instead
 //! of rescanning the whole ROB:
 //!
-//! * a min-heap of **completion events** keyed `(done_at, seq)` drives
-//!   the complete phase;
-//! * a min-heap of **verification events** keyed `(verify_at, seq)`
-//!   drives the verify phase;
-//! * a **consumer list** of `(producer, consumer)` registrations routes
-//!   wakeup broadcasts to exactly the instructions that asked for them;
+//! * a queue of **completion events** keyed `(done_at, seq)` drives the
+//!   complete phase, and one of **verification events** keyed
+//!   `(verify_at, seq)` the verify phase (each an [`EventQueue`]: a
+//!   short sorted vector whose earliest event is last);
+//! * a **consumer index** of `(producer, consumer)` registrations,
+//!   sorted by producer, routes each wakeup broadcast to exactly the
+//!   instructions that asked for it;
 //! * a **ready queue** (a sorted [`SeqSet`] of issuable seqs) feeds the
-//!   issue phase oldest-first;
+//!   issue phase oldest-first, walked in place;
+//! * a **store index** (a [`SeqSet`] of in-flight stores) gives
+//!   store-to-load forwarding the older stores without a ROB scan;
 //! * a load that owes the VPS a training update carries a flag on its
 //!   ROB entry.
 //!
@@ -50,14 +53,16 @@
 //! clears it first, so nothing a previous run left (an error exit or an
 //! unwound panic included) reaches the next. A ROB lookup by seq
 //! ([`rob_pos`]) is O(1) unless a squash gap lies between the entry and
-//! the tail.
+//! the tail. The ROB entry itself ([`DynInst`]) is compact: dispatch
+//! and commit copy it, so its optional fields are plain values behind
+//! validity bits.
 //!
-//! Heap entries invalidated by a squash are discarded lazily: each pop
-//! re-checks the event against the live ROB entry. Seqs are never
-//! reused within a run, so a stale event can never alias a live one.
+//! Queued events invalidated by a squash are discarded lazily: a due
+//! event is popped first and then checked against the live ROB entry.
+//! Seqs are never reused within a run, so a stale event can never alias
+//! a live one.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use vpsim_chaos::{PipeChaos, PredChaos};
 use vpsim_isa::{Inst, Pc, Program, RegFile, NUM_REGS};
@@ -68,7 +73,7 @@ use vpsim_predictor::{LoadContext, ValuePredictor};
 use crate::cancel::CancelToken;
 use crate::chaos;
 use crate::config::CoreConfig;
-use crate::dyninst::{DynInst, LoadOrigin, Seq, SeqSet, Status};
+use crate::dyninst::{DynInst, EventQueue, LoadOrigin, Seq, SeqSet, Status};
 use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
 
 /// Scheduler ticks between cancellation-point checks, minus one. The
@@ -76,6 +81,11 @@ use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
 /// — so the mask only amortises its cost; any value keeps supervised
 /// untripped runs bit-identical to unsupervised ones.
 const CANCEL_CHECK_MASK: u64 = 1024 - 1;
+
+/// The rename table's "no in-flight producer" entry: the register's
+/// value is in the register file. Seqs count dispatches from zero, so
+/// no run reaches it.
+const NO_PRODUCER: Seq = Seq::MAX;
 
 /// The executor's ROB, phase indices and per-tick scratch buffers: the
 /// state that needs heap memory. The [`Machine`](crate::Machine) owns
@@ -86,11 +96,11 @@ pub(crate) struct ExecState {
     /// In-flight instructions, oldest first; seqs strictly increase.
     rob: VecDeque<DynInst>,
     /// Completion events `(done_at, seq)`; lazily invalidated.
-    completions: BinaryHeap<Reverse<(Cycles, Seq)>>,
+    completions: EventQueue,
     /// Verification events `(verify_at, seq)`; lazily invalidated.
-    verifications: BinaryHeap<Reverse<(Cycles, Seq)>>,
+    verifications: EventQueue,
     /// `(producer, consumer)`: a consumer waiting on a producer's result
-    /// broadcast, in registration order.
+    /// broadcast, sorted, so each producer's consumers are one range.
     consumers: Vec<(Seq, Seq)>,
     /// Results that became available this cycle, in completion order.
     pending_wakeup: Vec<(Seq, u64)>,
@@ -103,11 +113,11 @@ pub(crate) struct ExecState {
     /// Stores whose address is still unknown (not yet issued). Loads
     /// cannot issue past them.
     unissued_stores: SeqSet,
+    /// Every in-flight store, the forwarding candidates of a load.
+    stores: SeqSet,
     /// Flushes anywhere in the ROB (they block younger loads from
     /// issuing until commit).
     flushes_in_rob: SeqSet,
-    /// Issue-phase scratch: the ready queue as the sweep began.
-    candidates: Vec<Seq>,
     /// Complete-phase scratch: VPS trainings owed, in completion order.
     trains: Vec<(LoadContext, u64)>,
 }
@@ -123,8 +133,8 @@ impl ExecState {
         self.ready.clear();
         self.unverified.clear();
         self.unissued_stores.clear();
+        self.stores.clear();
         self.flushes_in_rob.clear();
-        self.candidates.clear();
         self.trains.clear();
     }
 }
@@ -152,7 +162,8 @@ pub(crate) struct Executor<'a> {
     mem: &'a mut MemoryHierarchy,
     vp: &'a mut dyn ValuePredictor,
     state: &'a mut ExecState,
-    rat: [Option<Seq>; NUM_REGS],
+    /// Each register's youngest in-flight producer, or [`NO_PRODUCER`].
+    rat: [Seq; NUM_REGS],
     regs: RegFile,
     fetch_pc: Pc,
     fetch_stall_until: Cycles,
@@ -215,7 +226,7 @@ impl<'a> Executor<'a> {
             mem,
             vp,
             state,
-            rat: [None; NUM_REGS],
+            rat: [NO_PRODUCER; NUM_REGS],
             regs: RegFile::new(),
             fetch_pc: Pc(0),
             fetch_stall_until: 0,
@@ -245,12 +256,18 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Train the stack, unless predictor chaos drops the update.
+    /// Train the stack, unless predictor chaos drops the update, and
+    /// record a `train` event for an update that reached it.
     fn train(&mut self, ctx: &LoadContext, actual: u64, prediction: Option<u64>) {
         let chaos = self.pred_chaos.as_deref_mut();
-        if let Some(fault) = chaos::train(&mut *self.vp, chaos, ctx, actual, prediction) {
-            self.emit(fault);
-        }
+        let event = match chaos::train(&mut *self.vp, chaos, ctx, actual, prediction) {
+            Some(fault) => fault,
+            None => TraceEvent::Train {
+                pc: ctx.pc,
+                value: actual,
+            },
+        };
+        self.emit(event);
     }
 
     pub(crate) fn run(mut self) -> Result<RunResult, RunError> {
@@ -338,28 +355,29 @@ impl<'a> Executor<'a> {
         next.max(self.cycle + 1)
     }
 
-    /// Whether a completion event still refers to a live executing entry.
-    fn completion_is_live(&self, t: Cycles, seq: Seq) -> bool {
-        rob_pos(&self.state.rob, seq).is_some_and(|p| {
+    /// ROB position of a completion event's entry, if the event still
+    /// refers to a live executing entry.
+    fn live_completion(&self, (t, seq): (Cycles, Seq)) -> Option<usize> {
+        rob_pos(&self.state.rob, seq).filter(|&p| {
             let e = &self.state.rob[p];
-            e.status == Status::Executing && e.done_at == Some(t)
+            e.status == Status::Executing && e.done_at() == Some(t)
         })
     }
 
-    /// Whether a verification event still refers to an unverified
-    /// predicted load.
-    fn verification_is_live(&self, t: Cycles, seq: Seq) -> bool {
-        rob_pos(&self.state.rob, seq).is_some_and(|p| {
+    /// ROB position of a verification event's entry, if the event still
+    /// refers to an unverified predicted load.
+    fn live_verification(&self, (t, seq): (Cycles, Seq)) -> Option<usize> {
+        rob_pos(&self.state.rob, seq).filter(|&p| {
             let e = &self.state.rob[p];
-            e.is_unverified_prediction() && e.verify_at == Some(t)
+            e.is_unverified_prediction() && e.verify_at() == Some(t)
         })
     }
 
     /// Time of the earliest live completion event, discarding stale ones.
     fn peek_completion(&mut self) -> Option<Cycles> {
-        while let Some(&Reverse((t, seq))) = self.state.completions.peek() {
-            if self.completion_is_live(t, seq) {
-                return Some(t);
+        while let Some(event) = self.state.completions.peek() {
+            if self.live_completion(event).is_some() {
+                return Some(event.0);
             }
             self.state.completions.pop();
         }
@@ -369,43 +387,42 @@ impl<'a> Executor<'a> {
     /// Time of the earliest live verification event, discarding stale
     /// ones.
     fn peek_verification(&mut self) -> Option<Cycles> {
-        while let Some(&Reverse((t, seq))) = self.state.verifications.peek() {
-            if self.verification_is_live(t, seq) {
-                return Some(t);
+        while let Some(event) = self.state.verifications.peek() {
+            if self.live_verification(event).is_some() {
+                return Some(event.0);
             }
             self.state.verifications.pop();
         }
         None
     }
 
-    /// Pop the oldest live completion event due at the current cycle.
-    fn pop_due_completion(&mut self) -> Option<Seq> {
-        while let Some(&Reverse((t, seq))) = self.state.completions.peek() {
-            if !self.completion_is_live(t, seq) {
-                self.state.completions.pop();
-                continue;
-            }
-            if t > self.cycle {
+    /// Pop the oldest live completion event due at the current cycle:
+    /// its seq and ROB position. The due time is compared first, so a
+    /// cycle with nothing due costs one peek.
+    fn pop_due_completion(&mut self) -> Option<(Seq, usize)> {
+        while let Some(event) = self.state.completions.peek() {
+            if event.0 > self.cycle {
                 return None;
             }
             self.state.completions.pop();
-            return Some(seq);
+            if let Some(pos) = self.live_completion(event) {
+                return Some((event.1, pos));
+            }
         }
         None
     }
 
-    /// Pop the oldest live verification event due at the current cycle.
-    fn pop_due_verification(&mut self) -> Option<Seq> {
-        while let Some(&Reverse((t, seq))) = self.state.verifications.peek() {
-            if !self.verification_is_live(t, seq) {
-                self.state.verifications.pop();
-                continue;
-            }
-            if t > self.cycle {
+    /// Pop the oldest live verification event due at the current cycle:
+    /// its seq and ROB position.
+    fn pop_due_verification(&mut self) -> Option<(Seq, usize)> {
+        while let Some(event) = self.state.verifications.peek() {
+            if event.0 > self.cycle {
                 return None;
             }
             self.state.verifications.pop();
-            return Some(seq);
+            if let Some(pos) = self.live_verification(event) {
+                return Some((event.1, pos));
+            }
         }
         None
     }
@@ -416,27 +433,18 @@ impl<'a> Executor<'a> {
 
     fn verify_predictions(&mut self) {
         // Events share one due cycle (a prediction is verified the cycle
-        // its data arrives), so heap order == ROB order among due events.
-        while let Some(seq) = self.pop_due_verification() {
-            let pos = rob_pos(&self.state.rob, seq).expect("live verification event");
+        // its data arrives), so queue order == ROB order among due events.
+        while let Some((seq, pos)) = self.pop_due_verification() {
             self.work_this_cycle += 1;
             self.sched.verify_events += 1;
-            let (pc, addr) = {
-                let e = &self.state.rob[pos];
-                (e.pc, e.addr.expect("predicted load has an address"))
-            };
-            let (predicted, actual) = match self.state.rob[pos].load_origin {
-                Some(LoadOrigin::Predicted { predicted, actual }) => (predicted, actual),
-                _ => unreachable!("unverified prediction must carry Predicted origin"),
-            };
+            let e = &self.state.rob[pos];
+            let addr = e.addr().expect("predicted load has an address");
+            // Until verification a predicted load's result is the
+            // predicted value.
+            let predicted = e.result().expect("predicted load has its predicted value");
+            let (pc, actual) = (e.pc, e.actual);
             let ctx = self.ctx_for(pc, addr);
             self.train(&ctx, actual, Some(predicted));
-            if self.tracer.is_some() {
-                self.emit(TraceEvent::Train {
-                    pc: ctx.pc,
-                    value: actual,
-                });
-            }
             self.state.rob[pos].verified = true;
             self.state.unverified.remove(seq);
             if predicted == actual {
@@ -456,8 +464,9 @@ impl<'a> Executor<'a> {
             }
             self.stats.mispredictions += 1;
             self.stats.squashes += 1;
-            self.state.rob[pos].result = Some(actual);
-            self.state.rob[pos].done_at = Some(self.cycle);
+            let e = &mut self.state.rob[pos];
+            e.set_result(actual);
+            e.set_done_at(self.cycle);
             self.squash_younger_than(seq, None);
         }
     }
@@ -490,6 +499,7 @@ impl<'a> Executor<'a> {
         self.state.ready.truncate_after(seq);
         self.state.unverified.truncate_after(seq);
         self.state.unissued_stores.truncate_after(seq);
+        self.state.stores.truncate_after(seq);
         self.state.flushes_in_rob.truncate_after(seq);
         self.halts_in_flight = self
             .state
@@ -504,10 +514,10 @@ impl<'a> Executor<'a> {
             .filter(|e| matches!(e.inst, Inst::Branch { .. }) && e.status != Status::Done)
             .count();
         // Roll the rename table back to the surviving producers.
-        self.rat = [None; NUM_REGS];
+        self.rat = [NO_PRODUCER; NUM_REGS];
         for e in &self.state.rob {
             if let Some(rd) = e.inst.dest() {
-                self.rat[rd.index()] = Some(e.seq);
+                self.rat[rd.index()] = e.seq;
             }
         }
         match redirect {
@@ -531,8 +541,7 @@ impl<'a> Executor<'a> {
         // order the tick-by-tick scan processed them in. A mispredicted
         // branch squashes every younger entry; their events go stale and
         // the drain loop discards them.
-        while let Some(seq) = self.pop_due_completion() {
-            let pos = rob_pos(&self.state.rob, seq).expect("live completion event");
+        while let Some((seq, pos)) = self.pop_due_completion() {
             self.work_this_cycle += 1;
             self.sched.completion_events += 1;
             let e = &mut self.state.rob[pos];
@@ -540,21 +549,21 @@ impl<'a> Executor<'a> {
             if e.pending_train {
                 let ctx = LoadContext {
                     pc: e.pc.byte_addr(),
-                    addr: e.addr.expect("issued load has an address"),
+                    addr: e.addr().expect("issued load has an address"),
                     pid: self.pid,
                 };
-                let actual = e.result.expect("completed load has its value");
+                let actual = e.result().expect("completed load has its value");
                 self.state.trains.push((ctx, actual));
             }
             if e.inst.dest().is_some() {
                 self.state
                     .pending_wakeup
-                    .push((seq, e.result.expect("completed instruction has a result")));
+                    .push((seq, e.result().expect("completed instruction has a result")));
             }
             if let Inst::Branch { .. } = e.inst {
-                let actual = e.redirect.expect("resolved branch has a redirect");
+                let actual = e.redirect().expect("resolved branch has a redirect");
                 if self.config.branch_prediction {
-                    if e.predicted_next != Some(actual) {
+                    if e.predicted_next() != Some(actual) {
                         // Direction misprediction: discard the wrong
                         // path and resume at the true target.
                         self.stats.branch_mispredictions += 1;
@@ -572,12 +581,6 @@ impl<'a> Executor<'a> {
         for i in 0..self.state.trains.len() {
             let (ctx, actual) = self.state.trains[i];
             self.train(&ctx, actual, None);
-            if self.tracer.is_some() {
-                self.emit(TraceEvent::Train {
-                    pc: ctx.pc,
-                    value: actual,
-                });
-            }
         }
         self.state.trains.clear();
     }
@@ -587,34 +590,40 @@ impl<'a> Executor<'a> {
     // ------------------------------------------------------------------
 
     fn wakeup(&mut self) {
-        if self.state.pending_wakeup.is_empty() {
+        let state = &mut *self.state;
+        if state.consumers.is_empty() {
+            state.pending_wakeup.clear();
             return;
         }
-        // One pass over the registrations: each consumer of a producer
-        // that broadcast this cycle takes the value and is dropped.
-        // Squashes purge squashed consumers, so every one is in the ROB.
-        let state = &mut *self.state;
-        let (rob, ready, pending) = (&mut state.rob, &mut state.ready, &state.pending_wakeup);
-        let (work, sched) = (&mut self.work_this_cycle, &mut self.sched);
-        state.consumers.retain(|&(producer, consumer)| {
-            let Some(&(_, value)) = pending.iter().find(|(p, _)| *p == producer) else {
-                return true;
-            };
-            let pos = rob_pos(rob, consumer).expect("registered consumers are in the ROB");
-            let e = &mut rob[pos];
-            for i in 0..2 {
-                if e.src_tags[i] == Some(producer) {
-                    e.operands[i] = Some(value);
-                    e.src_tags[i] = None;
-                    *work += 1;
-                    sched.wakeup_broadcasts += 1;
+        // Each producer that broadcast this cycle hands its value to its
+        // range of registrations, which is then dropped. Squashes purge
+        // squashed consumers, so every one is in the ROB.
+        for &(producer, value) in &state.pending_wakeup {
+            let from = state.consumers.partition_point(|&(p, _)| p < producer);
+            let len = state.consumers[from..]
+                .iter()
+                .take_while(|&&(p, _)| p == producer)
+                .count();
+            if len == 0 {
+                continue;
+            }
+            for &(_, consumer) in &state.consumers[from..from + len] {
+                let pos =
+                    rob_pos(&state.rob, consumer).expect("registered consumers are in the ROB");
+                let e = &mut state.rob[pos];
+                for i in 0..2 {
+                    if e.src_tag(i) == Some(producer) {
+                        e.set_operand(i, value);
+                        self.work_this_cycle += 1;
+                        self.sched.wakeup_broadcasts += 1;
+                    }
+                }
+                if e.status == Status::Waiting && e.operands_ready() {
+                    state.ready.insert(consumer);
                 }
             }
-            if e.status == Status::Waiting && e.operands_ready() {
-                ready.insert(consumer);
-            }
-            false
-        });
+            state.consumers.drain(from..from + len);
+        }
         state.pending_wakeup.clear();
     }
 
@@ -627,16 +636,13 @@ impl<'a> Executor<'a> {
         // The ready queue iterates oldest-first, mirroring the seed
         // executor's ascending ROB scan. Entries that fail their issue
         // check (blocked loads, a non-head rdtsc) stay queued and are
-        // retried on the next ticked cycle.
-        self.state.candidates.clear();
-        self.state
-            .candidates
-            .extend_from_slice(self.state.ready.as_slice());
-        for i in 0..self.state.candidates.len() {
-            if issued >= self.config.issue_width {
+        // retried on the next ticked cycle. Issuing never adds to the
+        // queue, so the walk removes issued entries in place.
+        let mut at = 0;
+        while issued < self.config.issue_width {
+            let Some(&seq) = self.state.ready.as_slice().get(at) else {
                 break;
-            }
-            let seq = self.state.candidates[i];
+            };
             let pos = rob_pos(&self.state.rob, seq).expect("ready entries are in the ROB");
             let inst = self.state.rob[pos].inst;
             let ok = match inst {
@@ -654,20 +660,21 @@ impl<'a> Executor<'a> {
                     unreachable!("dispatch-completed instruction in the ready queue")
                 }
             };
-            if ok {
-                issued += 1;
-                self.state.ready.remove(seq);
-                self.work_this_cycle += 1;
-                self.sched.issue_slots += 1;
-                let e = &self.state.rob[rob_pos(&self.state.rob, seq).expect("just issued")];
-                debug_assert_eq!(e.status, Status::Executing);
-                let pc = e.pc;
-                self.state
-                    .completions
-                    .push(Reverse((e.done_at.expect("issued with a latency"), seq)));
-                if self.tracer.is_some() {
-                    self.emit(TraceEvent::Issue { seq, pc: pc.0 });
-                }
+            if !ok {
+                at += 1;
+                continue;
+            }
+            issued += 1;
+            self.state.ready.remove_at(at);
+            self.work_this_cycle += 1;
+            self.sched.issue_slots += 1;
+            let e = &self.state.rob[pos];
+            debug_assert_eq!(e.status, Status::Executing);
+            let pc = e.pc;
+            let done_at = e.done_at().expect("issued with a latency");
+            self.state.completions.push((done_at, seq));
+            if self.tracer.is_some() {
+                self.emit(TraceEvent::Issue { seq, pc: pc.0 });
             }
         }
     }
@@ -678,14 +685,14 @@ impl<'a> Executor<'a> {
             Inst::Nop => (0, self.config.alu_latency),
             Inst::Li { imm, .. } => (imm, self.config.alu_latency),
             Inst::Addi { imm, .. } => (
-                e.operands[0]
+                e.operand(0)
                     .expect("ready operand")
                     .wrapping_add(imm as u64),
                 self.config.alu_latency,
             ),
             Inst::Alu { op, .. } => {
-                let a = e.operands[0].expect("ready operand");
-                let b = e.operands[1].expect("ready operand");
+                let a = e.operand(0).expect("ready operand");
+                let b = e.operand(1).expect("ready operand");
                 let lat = if matches!(op, vpsim_isa::AluOp::Mul) {
                     self.config.mul_latency
                 } else {
@@ -696,8 +703,8 @@ impl<'a> Executor<'a> {
             _ => unreachable!("issue_alu on non-ALU instruction"),
         };
         e.status = Status::Executing;
-        e.result = Some(result);
-        e.done_at = Some(self.cycle + latency);
+        e.set_result(result);
+        e.set_done_at(self.cycle + latency);
         true
     }
 
@@ -706,13 +713,13 @@ impl<'a> Executor<'a> {
         let Inst::Branch { cond, target, .. } = e.inst else {
             unreachable!()
         };
-        let a = e.operands[0].expect("ready operand");
-        let b = e.operands[1].expect("ready operand");
+        let a = e.operand(0).expect("ready operand");
+        let b = e.operand(1).expect("ready operand");
         let taken = cond.eval(a, b);
-        e.redirect = Some(if taken { target } else { e.pc.next() });
-        e.result = Some(u64::from(taken));
+        e.set_redirect(if taken { target } else { e.pc.next() });
+        e.set_result(u64::from(taken));
         e.status = Status::Executing;
-        e.done_at = Some(self.cycle + self.config.alu_latency);
+        e.set_done_at(self.cycle + self.config.alu_latency);
         true
     }
 
@@ -723,9 +730,9 @@ impl<'a> Executor<'a> {
             return false;
         }
         let e = &mut self.state.rob[idx];
-        e.result = Some(self.cycle);
+        e.set_result(self.cycle);
         e.status = Status::Executing;
-        e.done_at = Some(self.cycle + 1);
+        e.set_done_at(self.cycle + 1);
         true
     }
 
@@ -734,11 +741,11 @@ impl<'a> Executor<'a> {
         let Inst::Store { offset, .. } = e.inst else {
             unreachable!()
         };
-        let base = e.operands[0].expect("ready operand");
-        e.addr = Some(base.wrapping_add(offset as u64));
-        e.result = Some(e.operands[1].expect("ready operand"));
+        let base = e.operand(0).expect("ready operand");
+        e.set_addr(base.wrapping_add(offset as u64));
+        e.set_result(e.operand(1).expect("ready operand"));
         e.status = Status::Executing;
-        e.done_at = Some(self.cycle + self.config.alu_latency);
+        e.set_done_at(self.cycle + self.config.alu_latency);
         self.state.unissued_stores.remove(self.state.rob[idx].seq);
         true
     }
@@ -748,11 +755,11 @@ impl<'a> Executor<'a> {
         let Inst::Flush { offset, .. } = e.inst else {
             unreachable!()
         };
-        let base = e.operands[0].expect("ready operand");
-        e.addr = Some(base.wrapping_add(offset as u64));
+        let base = e.operand(0).expect("ready operand");
+        e.set_addr(base.wrapping_add(offset as u64));
         e.status = Status::Executing;
-        e.result = Some(0);
-        e.done_at = Some(self.cycle + self.config.alu_latency);
+        e.set_result(0);
+        e.set_done_at(self.cycle + self.config.alu_latency);
         true
     }
 
@@ -769,24 +776,29 @@ impl<'a> Executor<'a> {
         let Inst::Load { offset, .. } = self.state.rob[idx].inst else {
             unreachable!()
         };
-        let base = self.state.rob[idx].operands[0].expect("ready operand");
+        let base = self.state.rob[idx].operand(0).expect("ready operand");
         let addr = base.wrapping_add(offset as u64);
         let pc = self.state.rob[idx].pc;
         // Store-to-load forwarding from the youngest older matching store.
+        // Every older store has issued (checked above), so each has its
+        // address and value.
+        let rob = &self.state.rob;
         let forwarded = self
             .state
-            .rob
+            .stores
+            .below(seq)
             .iter()
-            .take(idx)
             .rev()
-            .find(|e| matches!(e.inst, Inst::Store { .. }) && e.addr == Some(addr))
-            .map(|e| e.result.expect("issued store has its value"));
+            .find_map(|&store| {
+                let e = &rob[rob_pos(rob, store).expect("in-flight stores are in the ROB")];
+                (e.addr() == Some(addr)).then(|| e.result().expect("issued store has its value"))
+            });
         let e = &mut self.state.rob[idx];
-        e.addr = Some(addr);
+        e.set_addr(addr);
         if let Some(value) = forwarded {
-            e.result = Some(value);
+            e.set_result(value);
             e.status = Status::Executing;
-            e.done_at = Some(self.cycle + self.config.forward_latency);
+            e.set_done_at(self.cycle + self.config.forward_latency);
             e.load_origin = Some(LoadOrigin::Forwarded);
             self.stats.forwarded_loads += 1;
             return true;
@@ -804,8 +816,8 @@ impl<'a> Executor<'a> {
         e.status = Status::Executing;
         if !outcome.is_l1_miss() {
             // L1 hit: the load-based VPS is not consulted (paper §II).
-            e.result = Some(outcome.value);
-            e.done_at = Some(self.cycle + outcome.latency);
+            e.set_result(outcome.value);
+            e.set_done_at(self.cycle + outcome.latency);
             e.load_origin = Some(LoadOrigin::Memory);
             return true;
         }
@@ -823,16 +835,14 @@ impl<'a> Executor<'a> {
             Some(p) => {
                 // Forward the speculative value at hit-like latency while
                 // the real miss completes in the background.
-                e.result = Some(p.value);
-                e.done_at = Some(self.cycle + l1_hit_latency);
+                e.set_result(p.value);
+                e.set_done_at(self.cycle + l1_hit_latency);
                 let verify_at = self.cycle + outcome.latency;
-                e.verify_at = Some(verify_at);
-                e.load_origin = Some(LoadOrigin::Predicted {
-                    predicted: p.value,
-                    actual: outcome.value,
-                });
+                e.set_verify_at(verify_at);
+                e.load_origin = Some(LoadOrigin::Predicted);
+                e.actual = outcome.value;
                 self.stats.predicted_loads += 1;
-                self.state.verifications.push(Reverse((verify_at, seq)));
+                self.state.verifications.push((verify_at, seq));
                 self.state.unverified.insert(seq);
                 if self.tracer.is_some() {
                     self.emit(TraceEvent::Predict {
@@ -844,8 +854,8 @@ impl<'a> Executor<'a> {
                 }
             }
             None => {
-                e.result = Some(outcome.value);
-                e.done_at = Some(self.cycle + outcome.latency);
+                e.set_result(outcome.value);
+                e.set_done_at(self.cycle + outcome.latency);
                 e.load_origin = Some(LoadOrigin::Memory);
                 // Train once the data arrives (complete phase).
                 e.pending_train = true;
@@ -886,30 +896,32 @@ impl<'a> Executor<'a> {
             // Capture operands through the rename table.
             for (i, src) in inst.sources().into_iter().enumerate() {
                 let Some(r) = src else { continue };
-                match self.rat[r.index()] {
-                    None => e.operands[i] = Some(self.regs.read(r)),
-                    Some(tag) => {
-                        let pos =
-                            rob_pos(&self.state.rob, tag).expect("RAT points at a live producer");
-                        let producer = &self.state.rob[pos];
-                        if producer.result_available(self.cycle) {
-                            e.operands[i] = producer.result;
-                        } else {
-                            e.src_tags[i] = Some(tag);
-                            self.state.consumers.push((tag, e.seq));
-                        }
-                    }
+                let tag = self.rat[r.index()];
+                if tag == NO_PRODUCER {
+                    e.set_operand(i, self.regs.read(r));
+                    continue;
+                }
+                let pos = rob_pos(&self.state.rob, tag).expect("RAT points at a live producer");
+                let producer = &self.state.rob[pos];
+                if producer.result_available(self.cycle) {
+                    e.set_operand(i, producer.result().expect("available result"));
+                } else {
+                    e.set_src_tag(i, tag);
+                    // The youngest consumer yet: last of its producer's range.
+                    let consumers = &mut self.state.consumers;
+                    let at = consumers.partition_point(|&(p, _)| p <= tag);
+                    consumers.insert(at, (tag, e.seq));
                 }
             }
             if let Some(rd) = inst.dest() {
-                self.rat[rd.index()] = Some(e.seq);
+                self.rat[rd.index()] = e.seq;
             }
             match inst {
                 Inst::Fence | Inst::Halt => {
                     // Complete immediately (fence required an empty ROB).
                     e.status = Status::Done;
-                    e.result = Some(0);
-                    e.done_at = Some(self.cycle);
+                    e.set_result(0);
+                    e.set_done_at(self.cycle);
                     if matches!(inst, Inst::Halt) {
                         self.halts_in_flight += 1;
                     }
@@ -917,8 +929,8 @@ impl<'a> Executor<'a> {
                 }
                 Inst::Jump { target } => {
                     e.status = Status::Done;
-                    e.result = Some(0);
-                    e.done_at = Some(self.cycle);
+                    e.set_result(0);
+                    e.set_done_at(self.cycle);
                     self.fetch_pc = target;
                 }
                 Inst::Branch { target, .. } if self.config.branch_prediction => {
@@ -929,7 +941,7 @@ impl<'a> Executor<'a> {
                     } else {
                         e.pc.next()
                     };
-                    e.predicted_next = Some(predicted);
+                    e.set_predicted_next(predicted);
                     self.fetch_pc = predicted;
                 }
                 Inst::Branch { .. } => {
@@ -943,6 +955,7 @@ impl<'a> Executor<'a> {
             match inst {
                 Inst::Store { .. } => {
                     self.state.unissued_stores.insert(e.seq);
+                    self.state.stores.insert(e.seq);
                 }
                 Inst::Flush { .. } => {
                     self.state.flushes_in_rob.insert(e.seq);
@@ -994,29 +1007,30 @@ impl<'a> Executor<'a> {
                     cycle: self.cycle,
                     pc: e.pc,
                     inst: e.inst,
-                    result: e.inst.dest().and(e.result),
+                    result: e.inst.dest().and(e.result()),
                 });
             }
             match e.inst {
                 Inst::Store { .. } => {
-                    let addr = e.addr.expect("committed store has an address");
-                    self.mem.write(addr, e.result.expect("store value"));
+                    let addr = e.addr().expect("committed store has an address");
+                    self.mem.write(addr, e.result().expect("store value"));
+                    self.state.stores.remove(e.seq);
                 }
                 Inst::Flush { .. } => {
-                    let addr = e.addr.expect("committed flush has an address");
+                    let addr = e.addr().expect("committed flush has an address");
                     let cost = self.mem.flush_line(addr);
                     self.commit_stall_until = self.cycle + cost;
                     self.state.flushes_in_rob.remove(e.seq);
                 }
                 Inst::Rdtsc { .. } => {
-                    self.rdtsc_values.push(e.result.expect("rdtsc result"));
+                    self.rdtsc_values.push(e.result().expect("rdtsc result"));
                 }
                 Inst::Load { .. } => {
                     self.stats.loads += 1;
                     if e.deferred_fill {
                         // D-type: the speculative access survived to
                         // commit; its cache fill becomes visible now.
-                        self.mem.install(e.addr.expect("load address"));
+                        self.mem.install(e.addr().expect("load address"));
                         self.stats.deferred_fills_released += 1;
                     }
                 }
@@ -1031,9 +1045,9 @@ impl<'a> Executor<'a> {
                 _ => {}
             }
             if let Some(rd) = e.inst.dest() {
-                self.regs.write(rd, e.result.expect("dest result"));
-                if self.rat[rd.index()] == Some(e.seq) {
-                    self.rat[rd.index()] = None;
+                self.regs.write(rd, e.result().expect("dest result"));
+                if self.rat[rd.index()] == e.seq {
+                    self.rat[rd.index()] = NO_PRODUCER;
                 }
             }
             if let Some(ch) = self.chaos.as_deref_mut() {

@@ -543,6 +543,18 @@ mod tests {
     }
 
     #[test]
+    fn traced_dropped_trainings_record_no_train_events() {
+        let mut m = predictor_chaos_machine(PredChaosConfig {
+            drop_train_prob: 1.0,
+            ..PredChaosConfig::off()
+        });
+        let (r, events) = traced_loop_run(&mut m);
+        let count = |kind| events.iter().filter(|e| e.kind() == kind).count() as u64;
+        assert_eq!(count("train"), 0, "no training reached the predictor");
+        assert_eq!(count("pred_drop_train"), r.stats.vps_lookups);
+    }
+
+    #[test]
     fn predictor_chaos_events_are_traced_without_changing_the_run() {
         let cfg = PredChaosConfig {
             decay_prob: 0.3,
@@ -563,6 +575,7 @@ mod tests {
         assert_eq!(count("pred_decay"), counters.predictions_decayed);
         assert_eq!(count("pred_flip"), counters.values_flipped);
         assert_eq!(count("pred_drop_train"), counters.trainings_dropped);
+        assert_eq!(count("train"), traced.predictor().stats().trainings);
     }
 
     #[test]

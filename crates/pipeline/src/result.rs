@@ -64,11 +64,11 @@ pub struct SchedStats {
     /// Idle cycles jumped over by the next-event clock. `cycles =
     /// ticks + skipped_cycles` for a run that halts normally.
     pub skipped_cycles: u64,
-    /// Execution-completion events drained from the completion heap.
+    /// Execution-completion events drained from the completion queue.
     pub completion_events: u64,
     /// Result broadcasts delivered through the consumer index.
     pub wakeup_broadcasts: u64,
-    /// Prediction verifications drained from the verify heap.
+    /// Prediction verifications drained from the verification queue.
     pub verify_events: u64,
     /// Instructions issued to execution.
     pub issue_slots: u64,
@@ -120,6 +120,16 @@ impl RunResult {
             .chunks_exact(2)
             .map(|w| w[1].saturating_sub(w[0]))
             .collect()
+    }
+
+    /// The `i`-th entry of [`timing_windows`](RunResult::timing_windows),
+    /// without building the vector; `None` past the last complete pair.
+    #[must_use]
+    pub fn timing_window(&self, i: usize) -> Option<u64> {
+        match self.rdtsc_values.get(2 * i..2 * i + 2)? {
+            &[t1, t2] => Some(t2.saturating_sub(t1)),
+            _ => None,
+        }
     }
 }
 
@@ -177,6 +187,8 @@ mod tests {
             sched: SchedStats::default(),
         };
         assert_eq!(r.timing_windows(), vec![30, 45]);
+        let each: Vec<Option<u64>> = (0..3).map(|i| r.timing_window(i)).collect();
+        assert_eq!(each, [Some(30), Some(45), None]);
     }
 
     #[test]
@@ -190,6 +202,7 @@ mod tests {
             sched: SchedStats::default(),
         };
         assert_eq!(r.timing_windows(), vec![4]);
+        assert_eq!((r.timing_window(0), r.timing_window(1)), (Some(4), None));
     }
 
     #[test]

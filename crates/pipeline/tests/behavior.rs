@@ -127,6 +127,66 @@ fn store_to_load_forwarding_counts() {
     assert_eq!(r.stats.forwarded_loads, 1);
 }
 
+/// Forwarding takes the youngest older store to the load's address: of
+/// two in-flight stores to one word the younger forwards, a store to
+/// another word forwards only to its own load, and a store squashed by
+/// a value misprediction never forwards once the squash has happened.
+#[test]
+fn forwarding_takes_the_youngest_older_store_and_never_a_squashed_one() {
+    let mut m = lvp_machine();
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R1, DATA)
+        .li(Reg::R2, 11)
+        .li(Reg::R3, 22)
+        .li(Reg::R4, 33)
+        .store(Reg::R2, Reg::R1, 0)
+        .store(Reg::R3, Reg::R1, 0)
+        .store(Reg::R4, Reg::R1, 8)
+        .load(Reg::R5, Reg::R1, 0)
+        .load(Reg::R6, Reg::R1, 8)
+        .halt();
+    let r = m.run(0, &b.build().unwrap()).unwrap();
+    assert_eq!((r.regs.read(Reg::R5), r.regs.read(Reg::R6)), (22, 33));
+    assert_eq!(r.stats.forwarded_loads, 2);
+    assert_eq!((m.mem().peek(DATA), m.mem().peek(DATA + 8)), (22, 33));
+
+    // A flushed load the LVP predicts, a store to the address it loads,
+    // and a load of one fixed address: the trained one.
+    let (trained, actual) = (PROBE, PROBE + 64);
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R1, DATA)
+        .li(Reg::R8, 99)
+        .li(Reg::R9, trained)
+        .flush(Reg::R1, 0)
+        .fence()
+        .load(Reg::R2, Reg::R1, 0)
+        .store(Reg::R8, Reg::R2, 0)
+        .load(Reg::R5, Reg::R9, 0)
+        .halt();
+    let p = b.build().unwrap();
+    let mut m = lvp_machine();
+    m.mem_mut().store_value(DATA, trained);
+    for _ in 0..3 {
+        let r = m.run(0, &p).unwrap();
+        assert_eq!((r.regs.read(Reg::R5), r.stats.forwarded_loads), (99, 1));
+    }
+    // The trained prediction is now wrong: the wrong-path store to
+    // `trained` forwards to the wrong-path load and is squashed with
+    // it; refetched, the store goes to `actual` and the load reads
+    // `trained` from memory.
+    m.mem_mut().store_value(trained, 5);
+    m.mem_mut().store_value(DATA, actual);
+    let r = m.run(0, &p).unwrap();
+    assert_eq!((r.stats.predicted_loads, r.stats.mispredictions), (1, 1));
+    assert_eq!(r.stats.squashed_insts, 3);
+    assert_eq!(
+        r.stats.forwarded_loads, 1,
+        "only the wrong-path load forwarded"
+    );
+    assert_eq!((r.regs.read(Reg::R2), r.regs.read(Reg::R5)), (actual, 5));
+    assert_eq!((m.mem().peek(trained), m.mem().peek(actual)), (5, 99));
+}
+
 #[test]
 fn rdtsc_values_increase() {
     let mut m = lvp_machine();

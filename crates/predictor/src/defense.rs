@@ -14,13 +14,11 @@
 //!   changes when cache fills happen, not what is predicted); the
 //!   [`DefenseSpec`] here carries the flag to the pipeline configuration.
 
-use std::collections::HashMap;
-
 use vpsim_rng::SmallRng;
 
 use crate::index::IndexConfig;
 use crate::stats::PredictorStats;
-use crate::{LoadContext, Predicted, ValuePredictor};
+use crate::{LoadContext, Predicted, Table, ValuePredictor};
 
 /// What an A-type defense predicts when the wrapped predictor declines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +41,7 @@ pub struct AlwaysPredict<P> {
     mode: AlwaysMode,
     index: IndexConfig,
     /// Last observed value per index, for [`AlwaysMode::History`].
-    last_seen: HashMap<u64, u64>,
+    last_seen: Table<u64>,
 }
 
 impl<P: ValuePredictor> AlwaysPredict<P> {
@@ -56,7 +54,7 @@ impl<P: ValuePredictor> AlwaysPredict<P> {
             inner,
             mode,
             index,
-            last_seen: HashMap::new(),
+            last_seen: Table::default(),
         }
     }
 }

@@ -10,11 +10,9 @@
 //! unchanged, reinforcing the §IV-D3 point that the leak is inherent to
 //! value prediction, not to one predictor design.
 
-use std::collections::HashMap;
-
 use crate::index::IndexConfig;
 use crate::stats::PredictorStats;
-use crate::{LoadContext, Predicted, ValuePredictor};
+use crate::{LoadContext, Predicted, Table, ValuePredictor};
 
 /// Configuration for [`Fcm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +63,8 @@ struct ContextEntry {
 #[derive(Debug)]
 pub struct Fcm {
     config: FcmConfig,
-    level1: HashMap<u64, HistoryEntry>,
-    level2: HashMap<u64, ContextEntry>,
+    level1: Table<HistoryEntry>,
+    level2: Table<ContextEntry>,
     stats: PredictorStats,
     next_seq: u64,
 }
@@ -87,8 +85,8 @@ impl Fcm {
         );
         Fcm {
             config,
-            level1: HashMap::new(),
-            level2: HashMap::new(),
+            level1: Table::default(),
+            level2: Table::default(),
             stats: PredictorStats::default(),
             next_seq: 0,
         }

@@ -63,6 +63,12 @@ pub use stats::PredictorStats;
 pub use stride::{Stride, StrideConfig};
 pub use vtage::{Vtage, VtageConfig};
 
+/// A table keyed by predictor indexes, hashed by the fixed
+/// [`U64Hasher`](vpsim_rng::U64Hasher): the keys are the simulator's
+/// own, and a lookup or training hashes one on every L1-miss load.
+type Table<V> =
+    std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<vpsim_rng::U64Hasher>>;
+
 /// Everything a load-based VPS may use to index its state: the load's
 /// program counter (byte address), the virtual data address it accesses,
 /// and the process identifier of the running program.

@@ -10,11 +10,9 @@
 //! confidence to zero (this is exactly what the Train + Test attack's
 //! 1-access modify step exploits to force a *no prediction* outcome).
 
-use std::collections::HashMap;
-
 use crate::index::IndexConfig;
 use crate::stats::PredictorStats;
-use crate::{LoadContext, Predicted, ValuePredictor};
+use crate::{LoadContext, Predicted, Table, ValuePredictor};
 
 /// Configuration for [`Lvp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +76,7 @@ pub struct LvpEntryView {
 #[derive(Debug)]
 pub struct Lvp {
     config: LvpConfig,
-    table: HashMap<u64, Entry>,
+    table: Table<Entry>,
     stats: PredictorStats,
     next_seq: u64,
 }
@@ -100,7 +98,7 @@ impl Lvp {
         assert!(config.capacity >= 1, "capacity must be >= 1");
         Lvp {
             config,
-            table: HashMap::new(),
+            table: Table::default(),
             stats: PredictorStats::default(),
             next_seq: 0,
         }

@@ -7,6 +7,9 @@
 //! unrestricted so the wrapped predictor's state still evolves normally.
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
+use vpsim_rng::U64Hasher;
 
 use crate::stats::PredictorStats;
 use crate::{LoadContext, Predicted, ValuePredictor};
@@ -16,7 +19,7 @@ use crate::{LoadContext, Predicted, ValuePredictor};
 pub struct Oracle<P> {
     inner: P,
     /// Byte addresses of load instructions allowed to predict.
-    targets: HashSet<u64>,
+    targets: HashSet<u64, BuildHasherDefault<U64Hasher>>,
 }
 
 impl<P: ValuePredictor> Oracle<P> {

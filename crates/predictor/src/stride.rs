@@ -9,11 +9,9 @@
 //! works here — demonstrating the paper's point that the leak is a
 //! property of the VPS concept, not one predictor design.
 
-use std::collections::HashMap;
-
 use crate::index::IndexConfig;
 use crate::stats::PredictorStats;
-use crate::{LoadContext, Predicted, ValuePredictor};
+use crate::{LoadContext, Predicted, Table, ValuePredictor};
 
 /// Configuration for [`Stride`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +53,7 @@ struct Entry {
 #[derive(Debug)]
 pub struct Stride {
     config: StrideConfig,
-    table: HashMap<u64, Entry>,
+    table: Table<Entry>,
     stats: PredictorStats,
     next_seq: u64,
 }
@@ -72,7 +70,7 @@ impl Stride {
         assert!(config.capacity >= 1, "capacity must be >= 1");
         Stride {
             config,
-            table: HashMap::new(),
+            table: Table::default(),
             stats: PredictorStats::default(),
             next_seq: 0,
         }

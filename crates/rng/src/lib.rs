@@ -13,6 +13,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::hash::Hasher;
+
 /// The splitmix64 step: expands a 64-bit seed into a stream of
 /// well-mixed words (used to initialise xoshiro state).
 #[inline]
@@ -115,6 +117,44 @@ impl SmallRng {
     fn bounded(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
+    }
+}
+
+/// A fixed multiply-xorshift [`Hasher`] for the `u64` keys the simulator
+/// makes itself: backing-store page numbers and predictor indexes. Use
+/// it as `HashMap<u64, V, BuildHasherDefault<U64Hasher>>`.
+///
+/// One `u64` hashes in a multiply and a shift, where the standard
+/// library's SipHash takes dozens of operations, and a map's iteration
+/// order becomes a function of its contents. It has no random seed, so
+/// keys chosen to collide would collide: it is not for keys that arrive
+/// from outside the program.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct U64Hasher(u64);
+
+impl Hasher for U64Hasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Any other key type: its bytes, eight at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        // Each odd multiply spreads a key's low bits over the high bits,
+        // and each shift folds the high bits back into the low bits a
+        // table indexes by.
+        let x = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let x = (x ^ (x >> 32)).wrapping_mul(0xd6e8_feb8_6659_fd93);
+        self.0 = x ^ (x >> 32);
     }
 }
 
@@ -257,6 +297,27 @@ mod tests {
             assert!(
                 c > expect * 9 / 10 && c < expect * 11 / 10,
                 "bucket count {c} too far from {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn u64_hasher_is_fixed_and_spreads_strided_keys() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<U64Hasher>::default();
+        assert_eq!(build.hash_one(42u64), build.hash_one(42u64));
+        assert_ne!(build.hash_one(42u64), build.hash_one(43u64));
+        // Sequential page numbers and PC-like keys 4 or 64 apart fill
+        // the low bits a 256-bucket table indexes by evenly.
+        for stride in [1u64, 4, 64, 4096] {
+            let mut buckets = [0u32; 256];
+            for k in 0..4096u64 {
+                buckets[(build.hash_one(k * stride) & 255) as usize] += 1;
+            }
+            let (lo, hi) = (buckets.iter().min(), buckets.iter().max());
+            assert!(
+                lo >= Some(&4) && hi <= Some(&32),
+                "stride {stride}: buckets from {lo:?} to {hi:?}"
             );
         }
     }
