@@ -33,7 +33,12 @@ cargo run --release -p vpsim-bench --bin bench_pipeline -- \
 # Tracing-overhead smoke: the same quick matrix with event tracing
 # enabled must stay cycle-exact against the *untraced* baseline (trace
 # neutrality: recording events may not perturb simulation) and inside
-# the same wall-clock slowdown gate (tracing stays cheap).
+# the same wall-clock slowdown gate (tracing stays cheap). A traced run
+# bypasses the machine's memo of runs, so this compares the executor
+# path with an untraced baseline recorded before the memo existed;
+# re-recording `BENCH_pipeline*.json` would pin the memo's untraced wall
+# times, which the traced zoo cells' executor path would then have to
+# stay within 2x of.
 cargo run --release -p vpsim-bench --bin bench_pipeline -- \
     --quick --traced --check BENCH_pipeline.quick.json
 

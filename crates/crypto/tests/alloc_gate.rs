@@ -1,6 +1,7 @@
 //! Allocation gate for the warm paths: the Figure 7 leak's train,
 //! victim and trigger programs, run again and again on one warm
-//! machine, allocate nothing but the trigger's `rdtsc` vector;
+//! machine, allocate nothing but the trigger's `rdtsc` vector, also
+//! while the machine's memo of runs fills up and clears;
 //! `Machine::reset` on a warm machine allocates nothing; and a Table III
 //! paired trial on a thread that already keeps a machine allocates a
 //! pinned count, below that of the same pair on a thread that keeps
@@ -80,6 +81,13 @@ const TP_VALUE: u64 = 0x4040;
 const WARM_UP: usize = 40;
 const ITERATIONS: usize = 1024;
 
+/// The first pid of the measured bits' extra training runs, each bit's
+/// under a pid of its own. The predictor ignores pids, so the extra run
+/// trains the same entry; the memo keeps a tree per (pid, program), and
+/// 1,024 of them hold more than its 256 KiB, so it fills up and clears
+/// again and again while the bits are measured.
+const FILLER_PID: u32 = 1_000;
+
 /// The leak's predictor.
 fn lvp(cfg: &LeakConfig) -> Box<dyn ValuePredictor> {
     Box::new(Lvp::new(LvpConfig {
@@ -109,10 +117,10 @@ fn warm_leak_runs_allocate_only_the_trigger_timing_vector() {
     let dep_candidates = [setup.known_value, TP_VALUE];
     let trigger = trigger_timing(setup, setup.target_slot, setup.known_addr, &dep_candidates);
 
-    // Allocations of one bit's train, victim and trigger runs, and the
-    // number of each run.
-    let mut observe = |bit: usize| {
-        let mut counts = [(0u64, 0u64); 3];
+    // Allocations of one bit's train, victim and trigger runs, and of
+    // its extra training run as a new process, and the number of each.
+    let mut observe = |bit: usize, filler: Option<u32>| {
+        let mut counts = [(0u64, 0u64); 4];
         for _ in 0..setup.confidence {
             counts[0].0 += allocations(|| drop(machine.run(2, &train).expect("train halts")));
             counts[0].1 += 1;
@@ -125,21 +133,29 @@ fn warm_leak_runs_allocate_only_the_trigger_timing_vector() {
             allocations(|| drop(machine.run(2, &trigger).expect("trigger halts"))),
             1,
         );
+        if let Some(pid) = filler {
+            counts[3] = (
+                allocations(|| drop(machine.run(pid, &train).expect("train halts"))),
+                1,
+            );
+        }
         counts
     };
     for i in 0..WARM_UP {
-        observe(i % 2);
+        observe(i % 2, None);
     }
-    let mut totals = [(0u64, 0u64); 3];
+    let mut totals = [(0u64, 0u64); 4];
     for i in 0..ITERATIONS {
-        for (total, (allocs, runs)) in totals.iter_mut().zip(observe(i % 2)) {
+        let counts = observe(i % 2, Some(FILLER_PID + i as u32));
+        for (total, (allocs, runs)) in totals.iter_mut().zip(counts) {
             *total = (total.0 + allocs, total.1 + runs);
         }
     }
-    let [train, victim, trigger] = totals;
+    let [train, victim, trigger, filler] = totals;
     assert_eq!(train, (0, (ITERATIONS * setup.confidence as usize) as u64));
     assert_eq!(victim, (0, ITERATIONS as u64));
     assert_eq!(trigger, (ITERATIONS as u64, ITERATIONS as u64));
+    assert_eq!(filler, (0, ITERATIONS as u64));
 }
 
 #[test]
@@ -166,7 +182,7 @@ fn resetting_a_warm_machine_allocates_nothing() {
 /// Allocations of one warm Table III paired trial: the Train+Test
 /// timing-window LVP cell's pair 5, on a thread whose machine slot has
 /// run that cell's earlier pairs.
-const WARM_PAIR_ALLOCATIONS: u64 = 15;
+const WARM_PAIR_ALLOCATIONS: u64 = 11;
 
 #[test]
 fn a_warm_paired_trial_allocates_less_than_a_cold_one() {

@@ -60,53 +60,46 @@ impl Tlb {
     /// trace either).
     #[must_use]
     pub fn probe(&self, addr: Addr) -> TlbOutcome {
-        let page = self.page(addr);
-        if self.entries.contains(&page) {
-            TlbOutcome {
-                hit: true,
-                latency: self.hit_latency,
-            }
-        } else {
-            TlbOutcome {
-                hit: false,
-                latency: self.hit_latency + self.walk_latency,
-            }
-        }
+        self.outcome(self.entries.contains(&self.page(addr)))
     }
 
     /// Install a translation without timing (releasing a deferred
     /// speculative walk once the shadowed load commits).
     pub fn insert(&mut self, addr: Addr) {
-        let page = self.page(addr);
-        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            let p = self.entries.remove(pos);
-            self.entries.insert(0, p);
-            return;
-        }
-        if self.entries.len() == self.capacity {
-            self.entries.pop();
-        }
-        self.entries.insert(0, page);
+        self.touch(self.page(addr));
     }
 
     /// Translate `addr`, filling on a miss.
     pub fn translate(&mut self, addr: Addr) -> TlbOutcome {
-        let page = self.page(addr);
+        let hit = self.touch(self.page(addr));
+        self.outcome(hit)
+    }
+
+    /// Make `page` the most recent translation, caching it (over the
+    /// least recent one when full) if it was not cached; whether it was.
+    fn touch(&mut self, page: u64) -> bool {
+        if self.entries.first() == Some(&page) {
+            return true;
+        }
         if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            let p = self.entries.remove(pos);
-            self.entries.insert(0, p);
-            return TlbOutcome {
-                hit: true,
-                latency: self.hit_latency,
-            };
+            self.entries[..=pos].rotate_right(1);
+            return true;
         }
         if self.entries.len() == self.capacity {
             self.entries.pop();
         }
         self.entries.insert(0, page);
+        false
+    }
+
+    fn outcome(&self, hit: bool) -> TlbOutcome {
         TlbOutcome {
-            hit: false,
-            latency: self.hit_latency + self.walk_latency,
+            hit,
+            latency: if hit {
+                self.hit_latency
+            } else {
+                self.hit_latency + self.walk_latency
+            },
         }
     }
 

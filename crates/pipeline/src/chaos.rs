@@ -1,31 +1,29 @@
 //! The predictor injector at the VPS's two call sites: the executor's
-//! one lookup and its trainings. Each helper calls the stack and returns
-//! the trace event of the fault it injected, which the executor emits at
-//! the current cycle.
+//! one lookup and its trainings, both through its port. Each helper
+//! returns the trace event of the fault it injected, which the executor
+//! emits at the current cycle.
 
 use vpsim_chaos::PredChaos;
 use vpsim_obs::TraceEvent;
-use vpsim_predictor::{LoadContext, Predicted, ValuePredictor};
+use vpsim_predictor::Predicted;
 
-/// Look `ctx` up in the stack, then let predictor chaos act on a
-/// prediction it made: decay may suppress it, and a surviving one may
-/// have one bit flipped. The stack's lookup runs first and chaos draws
-/// only when it predicted, so the stack's state and statistics evolve
-/// as they would without chaos.
-pub(crate) fn lookup(
-    vp: &mut dyn ValuePredictor,
-    chaos: Option<&mut PredChaos>,
-    ctx: &LoadContext,
+/// Let predictor chaos act on `prediction`, the stack's answer to the
+/// lookup of the load at byte address `pc`: decay may suppress it, and
+/// a surviving one may have one bit flipped. Chaos draws only after the
+/// stack's lookup and only when it predicted, so the stack's state and
+/// statistics evolve as they would without chaos.
+pub(crate) fn perturb(
+    chaos: &mut PredChaos,
+    pc: u64,
+    prediction: Option<Predicted>,
 ) -> (Option<Predicted>, Option<TraceEvent>) {
-    let prediction = vp.lookup(ctx);
-    let (Some(p), Some(ch)) = (prediction, chaos) else {
-        return (prediction, None);
+    let Some(p) = prediction else {
+        return (None, None);
     };
-    let pc = ctx.pc;
-    if ch.decay_fires() {
+    if chaos.decay_fires() {
         return (None, Some(TraceEvent::PredDecay { pc }));
     }
-    let value = ch.perturb_value(p.value);
+    let value = chaos.perturb_value(p.value);
     if value == p.value {
         return (prediction, None);
     }
@@ -37,28 +35,19 @@ pub(crate) fn lookup(
     (Some(Predicted { value, ..p }), Some(flip))
 }
 
-/// Train the stack, unless predictor chaos drops the update.
-pub(crate) fn train(
-    vp: &mut dyn ValuePredictor,
-    chaos: Option<&mut PredChaos>,
-    ctx: &LoadContext,
-    actual: u64,
-    prediction: Option<u64>,
-) -> Option<TraceEvent> {
-    if let Some(ch) = chaos {
-        if ch.drop_train_fires() {
-            return Some(TraceEvent::PredDropTrain { pc: ctx.pc });
-        }
-    }
-    vp.train(ctx, actual, prediction);
-    None
+/// The trace event of a training of the load at byte address `pc` that
+/// predictor chaos drops, if it does: the stack is then not trained.
+pub(crate) fn drop_train(chaos: &mut PredChaos, pc: u64) -> Option<TraceEvent> {
+    chaos
+        .drop_train_fires()
+        .then_some(TraceEvent::PredDropTrain { pc })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vpsim_chaos::{ChaosEvents, PredChaosConfig};
-    use vpsim_predictor::{Lvp, LvpConfig};
+    use vpsim_predictor::{LoadContext, Lvp, LvpConfig, ValuePredictor};
 
     fn ctx() -> LoadContext {
         LoadContext {
@@ -78,7 +67,7 @@ mod tests {
     }
 
     /// Fifty lookups of one load, each trained with the value the
-    /// pipeline forwarded, as the executor's call sites run them.
+    /// pipeline forwarded, as the executor's port runs them.
     fn drive(
         vp: &mut dyn ValuePredictor,
         mut chaos: Option<&mut PredChaos>,
@@ -86,11 +75,18 @@ mod tests {
         let mut out = Vec::new();
         let mut events = Vec::new();
         for _ in 0..50 {
-            let (p, fault) = lookup(vp, chaos.as_deref_mut(), &ctx());
-            events.extend(fault);
+            let mut p = vp.lookup(&ctx());
+            if let Some(ch) = chaos.as_deref_mut() {
+                let (perturbed, fault) = perturb(ch, ctx().pc, p);
+                p = perturbed;
+                events.extend(fault);
+            }
             out.push(p);
-            let fault = train(vp, chaos.as_deref_mut(), &ctx(), 7, p.map(|p| p.value));
-            events.extend(fault);
+            let dropped = chaos.as_deref_mut().and_then(|ch| drop_train(ch, ctx().pc));
+            if dropped.is_none() {
+                vp.train(&ctx(), 7, p.map(|p| p.value));
+            }
+            events.extend(dropped);
         }
         (out, events)
     }

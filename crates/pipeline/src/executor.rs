@@ -61,19 +61,33 @@
 //! event is popped first and then checked against the live ROB entry.
 //! Seqs are never reused within a run, so a stale event can never alias
 //! a live one.
+//!
+//! Every call a run makes to the memory hierarchy or the value
+//! predictor goes through one [`Port`]: `read` and `read_no_fill`,
+//! `write`, `flush_line`, `install`, `lookup` and `train`. The executor
+//! state starts empty, and the hierarchy's configuration is fixed for
+//! the machine's life, so an untraced run without injectors is a pure
+//! function of the core configuration, the pid, the program and the
+//! sequence of the port's answers. The machine's
+//! [memo](crate::memo) replays repeated runs on that basis; when it
+//! misses part-way, it hands the port the calls it already performed
+//! as a prefix, which the port answers from the record, asserting that
+//! the executor makes the same calls, before it performs and records
+//! the rest.
 
 use std::collections::VecDeque;
 
 use vpsim_chaos::{PipeChaos, PredChaos};
 use vpsim_isa::{Inst, Pc, Program, RegFile, NUM_REGS};
-use vpsim_mem::{Cycles, MemoryHierarchy};
+use vpsim_mem::{AccessOutcome, Cycles, MemoryHierarchy};
 use vpsim_obs::{TraceEvent, TraceSink};
-use vpsim_predictor::{LoadContext, ValuePredictor};
+use vpsim_predictor::{LoadContext, Predicted, ValuePredictor};
 
 use crate::cancel::CancelToken;
 use crate::chaos;
 use crate::config::CoreConfig;
 use crate::dyninst::{DynInst, EventQueue, LoadOrigin, Seq, SeqSet, Status};
+use crate::memo::Trail;
 use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
 
 /// Scheduler ticks between cancellation-point checks, minus one. The
@@ -118,8 +132,9 @@ pub(crate) struct ExecState {
     /// Flushes anywhere in the ROB (they block younger loads from
     /// issuing until commit).
     flushes_in_rob: SeqSet,
-    /// Complete-phase scratch: VPS trainings owed, in completion order.
-    trains: Vec<(LoadContext, u64)>,
+    /// Complete-phase scratch: VPS trainings owed, in completion order,
+    /// as (load pc byte address, data address, actual value).
+    trains: Vec<(u64, u64, u64)>,
 }
 
 impl ExecState {
@@ -155,12 +170,196 @@ fn rob_pos(rob: &VecDeque<DynInst>, seq: Seq) -> Option<usize> {
     (pos < rob.len() && rob[pos].seq == seq).then_some(pos)
 }
 
+/// One call through the [`Port`], with its arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Call {
+    /// A load's access: `read` when `fill`, else `read_no_fill`.
+    Read { addr: u64, fill: bool },
+    /// A committed store.
+    Write { addr: u64, value: u64 },
+    /// A committed flush.
+    FlushLine { addr: u64 },
+    /// A deferred (D-type) fill released at commit.
+    Install { addr: u64 },
+    /// A VPS lookup by the load at byte address `pc`.
+    Lookup { pc: u64, addr: u64 },
+    /// A VPS training by the load at byte address `pc`.
+    Train {
+        pc: u64,
+        addr: u64,
+        actual: u64,
+        prediction: Option<u64>,
+    },
+}
+
+/// What a [`Call`] returned to the executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Answer {
+    /// A read's value, latency and serving level.
+    Access(AccessOutcome),
+    /// A flush's cost.
+    Cost(Cycles),
+    /// A lookup's prediction.
+    Prediction(Option<Predicted>),
+    /// A write, install or training: the executor reads nothing back.
+    Done,
+}
+
+impl Call {
+    /// Perform the call against the live hierarchy and predictor, the
+    /// predictor's calls as process `pid`.
+    pub(crate) fn perform(
+        self,
+        mem: &mut MemoryHierarchy,
+        vp: &mut dyn ValuePredictor,
+        pid: u32,
+    ) -> Answer {
+        match self {
+            Call::Read { addr, fill: true } => Answer::Access(mem.read(addr)),
+            Call::Read { addr, fill: false } => Answer::Access(mem.read_no_fill(addr)),
+            Call::Write { addr, value } => {
+                mem.write(addr, value);
+                Answer::Done
+            }
+            Call::FlushLine { addr } => Answer::Cost(mem.flush_line(addr)),
+            Call::Install { addr } => {
+                mem.install(addr);
+                Answer::Done
+            }
+            Call::Lookup { pc, addr } => {
+                Answer::Prediction(vp.lookup(&LoadContext { pc, addr, pid }))
+            }
+            Call::Train {
+                pc,
+                addr,
+                actual,
+                prediction,
+            } => {
+                vp.train(&LoadContext { pc, addr, pid }, actual, prediction);
+                Answer::Done
+            }
+        }
+    }
+}
+
+/// The executor's one way to the memory hierarchy and the value
+/// predictor. Without a trail every call is performed; with one (a
+/// memoized run), the trail's prefix answers the first calls and the
+/// port performs and records the rest. The predictor injector acts on
+/// a lookup's answer and may drop a training; a run with one carries no
+/// trail.
+pub(crate) struct Port<'a> {
+    mem: &'a mut MemoryHierarchy,
+    vp: &'a mut dyn ValuePredictor,
+    /// The process the predictor's calls are indexed as.
+    pid: u32,
+    pred_chaos: Option<&'a mut PredChaos>,
+    trail: Option<&'a mut Trail>,
+}
+
+impl<'a> Port<'a> {
+    pub(crate) fn new(
+        mem: &'a mut MemoryHierarchy,
+        vp: &'a mut dyn ValuePredictor,
+        pid: u32,
+        pred_chaos: Option<&'a mut PredChaos>,
+        trail: Option<&'a mut Trail>,
+    ) -> Port<'a> {
+        debug_assert!(pred_chaos.is_none() || trail.is_none());
+        Port {
+            mem,
+            vp,
+            pid,
+            pred_chaos,
+            trail,
+        }
+    }
+
+    fn call(&mut self, call: Call) -> Answer {
+        let Some(trail) = self.trail.as_deref_mut() else {
+            return call.perform(self.mem, self.vp, self.pid);
+        };
+        if let Some(answer) = trail.replay(call) {
+            return answer;
+        }
+        let answer = call.perform(self.mem, self.vp, self.pid);
+        trail.record(call, answer);
+        answer
+    }
+
+    fn read(&mut self, addr: u64, fill: bool) -> AccessOutcome {
+        match self.call(Call::Read { addr, fill }) {
+            Answer::Access(outcome) => outcome,
+            other => unreachable!("a read answered {other:?}"),
+        }
+    }
+
+    fn write(&mut self, addr: u64, value: u64) {
+        self.call(Call::Write { addr, value });
+    }
+
+    fn flush_line(&mut self, addr: u64) -> Cycles {
+        match self.call(Call::FlushLine { addr }) {
+            Answer::Cost(cost) => cost,
+            other => unreachable!("a flush answered {other:?}"),
+        }
+    }
+
+    fn install(&mut self, addr: u64) {
+        self.call(Call::Install { addr });
+    }
+
+    /// Look the load at byte address `pc` up, with the trace event of
+    /// any fault predictor chaos injected.
+    fn lookup(&mut self, pc: u64, addr: u64) -> (Option<Predicted>, Option<TraceEvent>) {
+        let prediction = match self.call(Call::Lookup { pc, addr }) {
+            Answer::Prediction(prediction) => prediction,
+            other => unreachable!("a lookup answered {other:?}"),
+        };
+        match self.pred_chaos.as_deref_mut() {
+            Some(injector) => chaos::perturb(injector, pc, prediction),
+            None => (prediction, None),
+        }
+    }
+
+    /// Train the stack, unless predictor chaos drops the training:
+    /// then the trace event of the drop.
+    fn train(
+        &mut self,
+        pc: u64,
+        addr: u64,
+        actual: u64,
+        prediction: Option<u64>,
+    ) -> Option<TraceEvent> {
+        if let Some(dropped) = self
+            .pred_chaos
+            .as_deref_mut()
+            .and_then(|injector| chaos::drop_train(injector, pc))
+        {
+            return Some(dropped);
+        }
+        self.call(Call::Train {
+            pc,
+            addr,
+            actual,
+            prediction,
+        });
+        None
+    }
+
+    /// Hand the hierarchy's buffered trace events to `sink`. Not a
+    /// call: only traced runs buffer events, and they carry no trail.
+    fn drain_trace(&mut self, cycle: Cycles, sink: &mut dyn TraceSink) {
+        self.mem.drain_trace(cycle, sink);
+    }
+}
+
 pub(crate) struct Executor<'a> {
     config: CoreConfig,
     program: &'a Program,
-    pid: u32,
-    mem: &'a mut MemoryHierarchy,
-    vp: &'a mut dyn ValuePredictor,
+    port: Port<'a>,
+    /// The L1 hit latency: a predicted load forwards its value after it.
+    l1_hit_latency: Cycles,
     state: &'a mut ExecState,
     /// Each register's youngest in-flight producer, or [`NO_PRODUCER`].
     rat: [Seq; NUM_REGS],
@@ -187,11 +386,6 @@ pub(crate) struct Executor<'a> {
     /// a point the cycle-skipping scheduler reaches identically on
     /// every schedule, so chaos runs stay bit-reproducible.
     chaos: Option<&'a mut PipeChaos>,
-    /// The predictor-side fault injector (entry decay, value flips,
-    /// dropped trainings), drawn at the three predictor call sites. Its
-    /// lookup draws follow the stack's `lookup`, so the stack's state
-    /// and statistics evolve as they would without it.
-    pred_chaos: Option<&'a mut PredChaos>,
     /// Cooperative kill flag, polled every `CANCEL_CHECK_MASK + 1`
     /// scheduler ticks at the loop boundary (never mid-phase).
     cancel: Option<&'a CancelToken>,
@@ -202,29 +396,23 @@ pub(crate) struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// An executor for one run. `config` must be valid: the machine
+    /// checked it when it was built, and it never changes.
     pub(crate) fn new(
         config: CoreConfig,
         program: &'a Program,
-        pid: u32,
-        mem: &'a mut MemoryHierarchy,
-        vp: &'a mut dyn ValuePredictor,
+        port: Port<'a>,
         state: &'a mut ExecState,
         chaos: Option<&'a mut PipeChaos>,
-        pred_chaos: Option<&'a mut PredChaos>,
         cancel: Option<&'a CancelToken>,
         tracer: Option<&'a mut dyn TraceSink>,
     ) -> Executor<'a> {
-        if let Err(e) = config.validate() {
-            panic!("invalid core configuration: {e}");
-        }
         state.clear();
         Executor {
             config,
             program,
-            pid,
-            mem,
-            vp,
+            l1_hit_latency: port.mem.config().l1.hit_latency,
+            port,
             state,
             rat: [NO_PRODUCER; NUM_REGS],
             regs: RegFile::new(),
@@ -242,7 +430,6 @@ impl<'a> Executor<'a> {
             halts_in_flight: 0,
             unresolved_branches: 0,
             chaos,
-            pred_chaos,
             cancel,
             tracer,
         }
@@ -256,16 +443,13 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Train the stack, unless predictor chaos drops the update, and
-    /// record a `train` event for an update that reached it.
-    fn train(&mut self, ctx: &LoadContext, actual: u64, prediction: Option<u64>) {
-        let chaos = self.pred_chaos.as_deref_mut();
-        let event = match chaos::train(&mut *self.vp, chaos, ctx, actual, prediction) {
+    /// Train the stack on the load at byte address `pc`, unless
+    /// predictor chaos drops the update, and record a `train` event for
+    /// an update that reached it.
+    fn train(&mut self, pc: u64, addr: u64, actual: u64, prediction: Option<u64>) {
+        let event = match self.port.train(pc, addr, actual, prediction) {
             Some(fault) => fault,
-            None => TraceEvent::Train {
-                pc: ctx.pc,
-                value: actual,
-            },
+            None => TraceEvent::Train { pc, value: actual },
         };
         self.emit(event);
     }
@@ -294,7 +478,7 @@ impl<'a> Executor<'a> {
             self.dispatch()?;
             self.commit();
             if let Some(sink) = self.tracer.as_deref_mut() {
-                self.mem.drain_trace(self.cycle, sink);
+                self.port.drain_trace(self.cycle, sink);
             }
             self.sched.ticks += 1;
             if self.work_this_cycle > 0 || self.halted {
@@ -317,14 +501,6 @@ impl<'a> Executor<'a> {
             trace: self.trace,
             sched: self.sched,
         })
-    }
-
-    fn ctx_for(&self, pc: Pc, addr: u64) -> LoadContext {
-        LoadContext {
-            pc: pc.byte_addr(),
-            addr,
-            pid: self.pid,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -442,9 +618,8 @@ impl<'a> Executor<'a> {
             // Until verification a predicted load's result is the
             // predicted value.
             let predicted = e.result().expect("predicted load has its predicted value");
-            let (pc, actual) = (e.pc, e.actual);
-            let ctx = self.ctx_for(pc, addr);
-            self.train(&ctx, actual, Some(predicted));
+            let (pc, actual) = (e.pc.byte_addr(), e.actual);
+            self.train(pc, addr, actual, Some(predicted));
             self.state.rob[pos].verified = true;
             self.state.unverified.remove(seq);
             if predicted == actual {
@@ -457,7 +632,7 @@ impl<'a> Executor<'a> {
             if self.tracer.is_some() {
                 self.emit(TraceEvent::Mispredict {
                     seq,
-                    pc: ctx.pc,
+                    pc,
                     predicted,
                     actual,
                 });
@@ -547,13 +722,9 @@ impl<'a> Executor<'a> {
             let e = &mut self.state.rob[pos];
             e.status = Status::Done;
             if e.pending_train {
-                let ctx = LoadContext {
-                    pc: e.pc.byte_addr(),
-                    addr: e.addr().expect("issued load has an address"),
-                    pid: self.pid,
-                };
+                let addr = e.addr().expect("issued load has an address");
                 let actual = e.result().expect("completed load has its value");
-                self.state.trains.push((ctx, actual));
+                self.state.trains.push((e.pc.byte_addr(), addr, actual));
             }
             if e.inst.dest().is_some() {
                 self.state
@@ -579,8 +750,8 @@ impl<'a> Executor<'a> {
             }
         }
         for i in 0..self.state.trains.len() {
-            let (ctx, actual) = self.state.trains[i];
-            self.train(&ctx, actual, None);
+            let (pc, addr, actual) = self.state.trains[i];
+            self.train(pc, addr, actual, None);
         }
         self.state.trains.clear();
     }
@@ -806,11 +977,7 @@ impl<'a> Executor<'a> {
         // D-type shadow: an older load with an unverified prediction makes
         // this access speculative; suppress its cache fill until commit.
         let shadowed = self.config.delay_side_effects && self.state.unverified.any_below(seq);
-        let outcome = if shadowed {
-            self.mem.read_no_fill(addr)
-        } else {
-            self.mem.read(addr)
-        };
+        let outcome = self.port.read(addr, !shadowed);
         let e = &mut self.state.rob[idx];
         e.deferred_fill = shadowed;
         e.status = Status::Executing;
@@ -823,10 +990,8 @@ impl<'a> Executor<'a> {
         }
         // L1 miss: consult the Value Prediction System.
         self.stats.vps_lookups += 1;
-        let ctx = self.ctx_for(pc, addr);
-        let l1_hit_latency = self.mem.config().l1.hit_latency;
-        let (prediction, fault) =
-            chaos::lookup(&mut *self.vp, self.pred_chaos.as_deref_mut(), &ctx);
+        let pc = pc.byte_addr();
+        let (prediction, fault) = self.port.lookup(pc, addr);
         if let Some(fault) = fault {
             self.emit(fault);
         }
@@ -836,7 +1001,7 @@ impl<'a> Executor<'a> {
                 // Forward the speculative value at hit-like latency while
                 // the real miss completes in the background.
                 e.set_result(p.value);
-                e.set_done_at(self.cycle + l1_hit_latency);
+                e.set_done_at(self.cycle + self.l1_hit_latency);
                 let verify_at = self.cycle + outcome.latency;
                 e.set_verify_at(verify_at);
                 e.load_origin = Some(LoadOrigin::Predicted);
@@ -847,7 +1012,7 @@ impl<'a> Executor<'a> {
                 if self.tracer.is_some() {
                     self.emit(TraceEvent::Predict {
                         seq,
-                        pc: ctx.pc,
+                        pc,
                         value: p.value,
                         confidence: p.confidence,
                     });
@@ -1013,12 +1178,12 @@ impl<'a> Executor<'a> {
             match e.inst {
                 Inst::Store { .. } => {
                     let addr = e.addr().expect("committed store has an address");
-                    self.mem.write(addr, e.result().expect("store value"));
+                    self.port.write(addr, e.result().expect("store value"));
                     self.state.stores.remove(e.seq);
                 }
                 Inst::Flush { .. } => {
                     let addr = e.addr().expect("committed flush has an address");
-                    let cost = self.mem.flush_line(addr);
+                    let cost = self.port.flush_line(addr);
                     self.commit_stall_until = self.cycle + cost;
                     self.state.flushes_in_rob.remove(e.seq);
                 }
@@ -1030,7 +1195,7 @@ impl<'a> Executor<'a> {
                     if e.deferred_fill {
                         // D-type: the speculative access survived to
                         // commit; its cache fill becomes visible now.
-                        self.mem.install(e.addr().expect("load address"));
+                        self.port.install(e.addr().expect("load address"));
                         self.stats.deferred_fills_released += 1;
                     }
                 }

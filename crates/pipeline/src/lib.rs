@@ -54,6 +54,7 @@ mod config;
 mod dyninst;
 mod executor;
 mod machine;
+mod memo;
 mod result;
 
 pub use cancel::CancelToken;

@@ -14,7 +14,8 @@ use vpsim_predictor::ValuePredictor;
 
 use crate::cancel::CancelToken;
 use crate::config::CoreConfig;
-use crate::executor::{ExecState, Executor};
+use crate::executor::{ExecState, Executor, Port};
+use crate::memo::Memo;
 use crate::result::{RunError, RunResult};
 
 /// Per-run controls of [`Machine::run_with`]: neither changes what a
@@ -62,6 +63,9 @@ pub struct Machine {
     /// The executor's buffers, lent to each run (which clears them
     /// first) so warm runs do not allocate them again.
     exec: ExecState,
+    /// Plain runs replayed from their port calls' answers; kept across
+    /// [`reset`](Machine::reset), which restores nothing it depends on.
+    memo: Memo,
 }
 
 impl Machine {
@@ -85,6 +89,7 @@ impl Machine {
             pipe_chaos: None,
             pred_chaos: None,
             exec: ExecState::default(),
+            memo: Memo::default(),
         }
     }
 
@@ -96,7 +101,9 @@ impl Machine {
     /// the memory, pipeline and predictor injectors are dropped, so the
     /// machine runs without chaos until
     /// [`set_chaos`](Machine::set_chaos) arms it again. Every run clears
-    /// the executor state itself. Costs time proportional to what the
+    /// the executor state itself, and the memo of runs stays: it
+    /// depends only on the core configuration and the answers of the
+    /// hierarchy and the predictor. Costs time proportional to what the
     /// runs since the last reset touched.
     pub fn reset(&mut self, predictor: Box<dyn ValuePredictor>, seed: u64) {
         self.mem.reset(seed);
@@ -158,6 +165,18 @@ impl Machine {
     /// [`Machine::run`] under the per-run controls `ctl`: a cancel token
     /// and a trace sink, each optional.
     ///
+    /// A run is replayed from the machine's memo of runs when the same
+    /// program ran as the same `pid` before and the hierarchy and the
+    /// predictor answer the same calls alike: the memo performs those
+    /// calls, so the machine ends up exactly as the executor would leave
+    /// it, and returns the recorded result. Where the memo runs out, the
+    /// executor takes over without performing a call twice. A run with a
+    /// tracer, with a pipeline or predictor injector armed, on a core
+    /// that records commit traces, or with its token already tripped
+    /// always goes to the executor, and a run that ends in an error or
+    /// makes more than a fixed number of calls is executed but not
+    /// recorded.
+    ///
     /// # Errors
     ///
     /// Same as [`Machine::run`], plus [`RunError::Cancelled`] when the
@@ -169,7 +188,39 @@ impl Machine {
         ctl: RunCtl<'_>,
     ) -> Result<RunResult, RunError> {
         let RunCtl { cancel, tracer } = ctl;
-        // Shorten the sink's trait-object lifetime to this call's borrows.
+        let memoized = tracer.is_none()
+            && self.pipe_chaos.is_none()
+            && self.pred_chaos.is_none()
+            && !self.core.record_commit_trace
+            && !cancel.is_some_and(CancelToken::is_cancelled);
+        if !memoized {
+            return self.execute(pid, program, false, cancel, tracer);
+        }
+        let miss = match self
+            .memo
+            .replay(pid, program, &mut self.mem, self.predictor.as_mut())
+        {
+            Ok(result) => return Ok(result),
+            Err(miss) => miss,
+        };
+        let result = self.execute(pid, program, true, cancel, None);
+        if let Ok(result) = &result {
+            self.memo.record(pid, program, miss, result);
+        }
+        result
+    }
+
+    /// Run `program` on the executor; with `memoized`, through the
+    /// memo's trail.
+    fn execute(
+        &mut self,
+        pid: u32,
+        program: &Program,
+        memoized: bool,
+        cancel: Option<&CancelToken>,
+        tracer: Option<&mut dyn TraceSink>,
+    ) -> Result<RunResult, RunError> {
+        // Shorten the sink's trait-object lifetime to the executor's.
         let tracer = tracer.map(|sink| sink as &mut dyn TraceSink);
         // The hierarchy buffers its events for this call only: its
         // tracing is switched off again (dropping a partial buffer) on
@@ -178,15 +229,19 @@ impl Machine {
         if traced {
             self.mem.set_tracing(true);
         }
+        let port = Port::new(
+            &mut self.mem,
+            self.predictor.as_mut(),
+            pid,
+            self.pred_chaos.as_mut(),
+            memoized.then(|| self.memo.trail()),
+        );
         let result = Executor::new(
             self.core,
             program,
-            pid,
-            &mut self.mem,
-            self.predictor.as_mut(),
+            port,
             &mut self.exec,
             self.pipe_chaos.as_mut(),
-            self.pred_chaos.as_mut(),
             cancel,
             tracer,
         )
@@ -225,6 +280,12 @@ impl Machine {
     /// state (a cold microarchitectural start between trials).
     pub fn cold_caches(&mut self) {
         self.mem.cold_caches();
+    }
+
+    /// Runs the memo served from a leaf.
+    #[cfg(test)]
+    pub(crate) fn memo_hits(&self) -> u64 {
+        self.memo.hits
     }
 }
 

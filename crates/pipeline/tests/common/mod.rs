@@ -1,10 +1,15 @@
 //! The seeded program generator shared by the differential and
-//! run-sequence tests: structured, guaranteed-terminating programs
-//! (straight-line bodies inside counted loops) over a small address
-//! pool, with `flush`es so loads miss and the value predictor engages,
-//! and stores so trained predictions go stale and squashes happen.
+//! run-sequence tests and the memo's differential test: structured,
+//! guaranteed-terminating programs (straight-line bodies inside counted
+//! loops) over a small address pool, with `flush`es so loads miss and
+//! the value predictor engages, and stores so trained predictions go
+//! stale and squashes happen; and the run sequences built from them,
+//! whose runs also end past the cycle budget or past the last
+//! instruction. Each test binary uses part of it.
 
-use vpsim_isa::{AluOp, Program, ProgramBuilder, Reg};
+#![allow(dead_code)]
+
+use vpsim_isa::{AluOp, Inst, Program, ProgramBuilder, Reg};
 use vpsim_rng::SmallRng;
 
 /// One generated body operation.
@@ -138,4 +143,106 @@ pub fn build_program(body: &[Op], iters: u64) -> Program {
         .blt(Reg::R14, Reg::R15, "top")
         .halt();
     b.build().expect("generated program is well-formed")
+}
+
+/// Cycle budget of every machine that runs a sequence: the halting runs
+/// finish inside it, the over-limit runs loop far past it.
+pub const MAX_CYCLES: u64 = 5_000;
+
+/// Loop passes of the probe: it dispatches about 4,500 seqs, past every
+/// seq an error exit here leaves behind (none above 2,000).
+const PROBE_PASSES: u64 = 1_500;
+
+/// How a run of a sequence ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ending {
+    Halt,
+    CycleLimit,
+    PastEnd,
+}
+
+/// How each run in a sequence ends; it repeats three times per machine,
+/// so error exits follow halts, halts follow error exits, and two
+/// error exits follow each other.
+pub const PATTERN: [Ending; 8] = [
+    Ending::Halt,
+    Ending::Halt,
+    Ending::CycleLimit,
+    Ending::Halt,
+    Ending::PastEnd,
+    Ending::CycleLimit,
+    Ending::PastEnd,
+    Ending::Halt,
+];
+
+/// FNV-1a: the digest of a fixture line and the seed of a sequence.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// The program for one run. Over-limit runs append a flushed load, a
+/// consumer of its value and a store of that value to the body, so the
+/// budget runs out with a predicted or missing load, its registered
+/// consumer and an unissued store in flight. Past-end runs drop the
+/// final `halt`: the loop exit falls through past the last instruction.
+pub fn program_for(rng: &mut SmallRng, ending: Ending) -> Program {
+    let mut body = arb_body(rng, 24);
+    let iters = match ending {
+        Ending::CycleLimit => {
+            body.extend([
+                Op::Flush(0),
+                Op::Load(0, 0),
+                Op::Addi(1, 0, 3),
+                Op::Store(1, 1),
+            ]);
+            1_000_000
+        }
+        _ => rng.gen_range(1u64..6),
+    };
+    let program = build_program(&body, iters);
+    if ending != Ending::PastEnd {
+        return program;
+    }
+    let insts: Vec<Inst> = program.iter().map(|(_, inst)| inst).collect();
+    assert_eq!(insts.last(), Some(&Inst::Halt), "generator ends in halt");
+    Program::from_insts(insts[..insts.len() - 1].to_vec())
+}
+
+/// The run after every error exit. It stores a word no other program
+/// touches and fences, so the loop's loads of that word hit the L1 and
+/// never consult the value predictor: nothing squashes before the
+/// loop exit, and the loop dispatches past every seq an error exit can
+/// leave behind. A leaked unissued store or flush blocks its loads, a
+/// leaked unverified prediction shadows them under the D-type defense,
+/// and a leaked ready or ROB entry is issued or committed.
+pub fn probe_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R1, 0x9000)
+        .li(Reg::R2, 0)
+        .li(Reg::R3, PROBE_PASSES)
+        .li(Reg::R4, 7)
+        .store(Reg::R4, Reg::R1, 0)
+        .fence();
+    b.label("loop").unwrap();
+    b.load(Reg::R5, Reg::R1, 0)
+        .addi(Reg::R2, Reg::R2, 1)
+        .blt(Reg::R2, Reg::R3, "loop")
+        .halt();
+    b.build().expect("probe assembles")
+}
+
+/// The programs of the sequence named `name`, each with its ending.
+pub fn sequence(name: &str) -> Vec<(Program, Ending)> {
+    let mut rng = SmallRng::seed_from_u64(fnv1a(name.as_bytes()));
+    (0..3 * PATTERN.len())
+        .map(|run| {
+            let ending = PATTERN[run % PATTERN.len()];
+            (program_for(&mut rng, ending), ending)
+        })
+        .collect()
 }

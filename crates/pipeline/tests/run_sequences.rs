@@ -7,7 +7,10 @@
 //! run's result. Each run's full outcome, the whole `RunResult` with its
 //! `SchedStats` and commit trace or the `RunError`, and the machine's
 //! memory and predictor counters after it are folded into one FNV
-//! digest per run.
+//! digest per run. Each sequence also runs twice on a machine that
+//! records no commit trace, reset in between, so the machine's memo of
+//! runs replays the second pass's repeated programs: with the recorded
+//! commit traces put back, both passes must render the fixture's lines.
 //!
 //! To re-record (only after an *intentional* semantic change):
 //!
@@ -19,102 +22,12 @@ mod common;
 
 use std::path::PathBuf;
 
-use common::{arb_body, build_program, Op};
+use common::{fnv1a, probe_program, sequence, Ending, MAX_CYCLES};
 use vpsim_chaos::ChaosConfig;
-use vpsim_isa::{Inst, Program, ProgramBuilder, Reg};
+use vpsim_isa::Program;
 use vpsim_mem::MemoryConfig;
-use vpsim_pipeline::{CoreConfig, Machine, RunError};
+use vpsim_pipeline::{CoreConfig, Machine, RunError, RunResult};
 use vpsim_predictor::{Lvp, LvpConfig, NoPredictor, ValuePredictor, Vtage, VtageConfig};
-use vpsim_rng::SmallRng;
-
-/// Cycle budget of every machine here: the halting runs finish inside
-/// it, the over-limit runs loop far past it.
-const MAX_CYCLES: u64 = 5_000;
-
-/// Loop passes of the probe: it dispatches about 4,500 seqs, past every
-/// seq an error exit here leaves behind (none above 2,000).
-const PROBE_PASSES: u64 = 1_500;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Ending {
-    Halt,
-    CycleLimit,
-    PastEnd,
-}
-
-/// How each run in a sequence ends; it repeats three times per machine,
-/// so error exits follow halts, halts follow error exits, and two
-/// error exits follow each other.
-const PATTERN: [Ending; 8] = [
-    Ending::Halt,
-    Ending::Halt,
-    Ending::CycleLimit,
-    Ending::Halt,
-    Ending::PastEnd,
-    Ending::CycleLimit,
-    Ending::PastEnd,
-    Ending::Halt,
-];
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
-    })
-}
-
-/// The program for one run. Over-limit runs append a flushed load, a
-/// consumer of its value and a store of that value to the body, so the
-/// budget runs out with a predicted or missing load, its registered
-/// consumer and an unissued store in flight. Past-end runs drop the
-/// final `halt`: the loop exit falls through past the last instruction.
-fn program_for(rng: &mut SmallRng, ending: Ending) -> Program {
-    let mut body = arb_body(rng, 24);
-    let iters = match ending {
-        Ending::CycleLimit => {
-            body.extend([
-                Op::Flush(0),
-                Op::Load(0, 0),
-                Op::Addi(1, 0, 3),
-                Op::Store(1, 1),
-            ]);
-            1_000_000
-        }
-        _ => rng.gen_range(1u64..6),
-    };
-    let program = build_program(&body, iters);
-    if ending != Ending::PastEnd {
-        return program;
-    }
-    let insts: Vec<Inst> = program.iter().map(|(_, inst)| inst).collect();
-    assert_eq!(insts.last(), Some(&Inst::Halt), "generator ends in halt");
-    Program::from_insts(insts[..insts.len() - 1].to_vec())
-}
-
-/// The run after every error exit. It stores a word no other program
-/// touches and fences, so the loop's loads of that word hit the L1 and
-/// never consult the value predictor: nothing squashes before the
-/// loop exit, and the loop dispatches past every seq an error exit can
-/// leave behind. A leaked unissued store or flush blocks its loads, a
-/// leaked unverified prediction shadows them under the D-type defense,
-/// and a leaked ready or ROB entry is issued or committed.
-fn probe_program() -> Program {
-    let mut b = ProgramBuilder::new();
-    b.li(Reg::R1, 0x9000)
-        .li(Reg::R2, 0)
-        .li(Reg::R3, PROBE_PASSES)
-        .li(Reg::R4, 7)
-        .store(Reg::R4, Reg::R1, 0)
-        .fence();
-    b.label("loop").unwrap();
-    b.load(Reg::R5, Reg::R1, 0)
-        .addi(Reg::R2, Reg::R2, 1)
-        .blt(Reg::R2, Reg::R3, "loop")
-        .halt();
-    b.build().expect("probe assembles")
-}
 
 fn lvp() -> Box<dyn ValuePredictor> {
     Box::new(Lvp::new(LvpConfig {
@@ -215,7 +128,18 @@ fn run_line(
     ending: Ending,
 ) -> String {
     let result = machine.run(3, program);
-    let label = match (&result, ending) {
+    line(machine, name, run, &result, ending)
+}
+
+/// The fixture line of a run of `machine` that returned `result`.
+fn line(
+    machine: &Machine,
+    name: &str,
+    run: &str,
+    result: &Result<RunResult, RunError>,
+    ending: Ending,
+) -> String {
+    let label = match (result, ending) {
         (Ok(r), Ending::Halt) => format!("halt@{}", r.cycles),
         (Err(RunError::CycleLimitExceeded { .. }), Ending::CycleLimit) => "cycle_limit".to_owned(),
         (Err(RunError::FetchPastEnd { .. }), Ending::PastEnd) => "past_end".to_owned(),
@@ -234,15 +158,14 @@ fn run_line(
     )
 }
 
-/// The programs of `config`'s sequence, each with its ending.
-fn sequence(config: &Config) -> Vec<(Program, Ending)> {
-    let mut rng = SmallRng::seed_from_u64(fnv1a(config.name.as_bytes()));
-    (0..3 * PATTERN.len())
-        .map(|run| {
-            let ending = PATTERN[run % PATTERN.len()];
-            (program_for(&mut rng, ending), ending)
-        })
-        .collect()
+/// Run `run` of a sequence, and the probe after it if it is an error
+/// exit, each with its label and ending.
+fn with_probe(run: usize, program: &Program, ending: Ending) -> Vec<(String, Program, Ending)> {
+    let mut runs = vec![(run.to_string(), program.clone(), ending)];
+    if ending != Ending::Halt {
+        runs.push((format!("{run}+probe"), probe_program(), Ending::Halt));
+    }
+    runs
 }
 
 /// Run `program` on `machine`, then the probe after an error exit: the
@@ -254,28 +177,65 @@ fn run_lines(
     program: &Program,
     ending: Ending,
 ) -> String {
-    let mut out = run_line(machine, name, &run.to_string(), program, ending);
-    if ending != Ending::Halt {
-        out += &run_line(
-            machine,
-            name,
-            &format!("{run}+probe"),
-            &probe_program(),
-            Ending::Halt,
-        );
-    }
-    out
+    with_probe(run, program, ending)
+        .iter()
+        .map(|(run, program, ending)| run_line(machine, name, run, program, *ending))
+        .collect()
+}
+
+/// Every run of `config`'s sequence in order, the probes included.
+fn runs(config: &Config) -> Vec<(String, Program, Ending)> {
+    sequence(config.name)
+        .iter()
+        .enumerate()
+        .flat_map(|(run, (program, ending))| with_probe(run, program, *ending))
+        .collect()
 }
 
 fn run_sequences() -> String {
     let mut out = String::new();
     for config in configs() {
         let mut machine = config.build();
-        for (run, (program, ending)) in sequence(&config).iter().enumerate() {
-            out += &run_lines(&mut machine, config.name, run, program, *ending);
+        for (run, program, ending) in runs(&config) {
+            out += &run_line(&mut machine, config.name, &run, &program, ending);
         }
     }
     out
+}
+
+fn fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("run_sequences.tsv")
+}
+
+fn fixture() -> String {
+    let path = fixture_path();
+    std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {}: {e}\nrecord with GOLDEN_RECORD=1 \
+             cargo test -p vpsim-pipeline --test run_sequences",
+            path.display()
+        )
+    })
+}
+
+/// Fail with the first mismatched lines unless `actual`, the fixture
+/// text `what` rendered, is `expected`.
+fn assert_fixture(expected: &str, actual: &str, what: &str) {
+    let diverged: Vec<String> = expected
+        .lines()
+        .zip(actual.lines())
+        .filter(|(e, a)| e != a)
+        .take(8)
+        .map(|(e, a)| format!("  expected: {e}\n  actual:   {a}"))
+        .collect();
+    assert!(
+        expected == actual,
+        "{what} diverged from the recorded fixture (first mismatches):\n{}",
+        diverged.join("\n")
+    );
 }
 
 /// A machine that ran the earlier programs of its sequence, error exits
@@ -285,7 +245,7 @@ fn run_sequences() -> String {
 fn a_reset_machine_runs_like_a_new_one() {
     for config in configs() {
         let mut reused = config.build();
-        for (run, (program, ending)) in sequence(&config).iter().enumerate() {
+        for (run, (program, ending)) in sequence(config.name).iter().enumerate() {
             config.reset(&mut reused);
             let mut fresh = config.build();
             let lines = |machine: &mut Machine| {
@@ -305,32 +265,53 @@ fn a_reset_machine_runs_like_a_new_one() {
 #[test]
 fn run_sequences_are_bit_identical() {
     let actual = run_sequences();
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("run_sequences.tsv");
     if std::env::var_os("GOLDEN_RECORD").is_some_and(|v| v == "1") {
+        let path = fixture_path();
         std::fs::write(&path, &actual).expect("write fixture");
         eprintln!("recorded {}", path.display());
         return;
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {}: {e}\nrecord with GOLDEN_RECORD=1 \
-             cargo test -p vpsim-pipeline --test run_sequences",
-            path.display()
-        )
-    });
-    let diverged: Vec<String> = expected
-        .lines()
-        .zip(actual.lines())
-        .filter(|(e, a)| e != a)
-        .take(8)
-        .map(|(e, a)| format!("  expected: {e}\n  actual:   {a}"))
-        .collect();
-    assert!(
-        expected == actual,
-        "run sequences diverged from the recorded fixture (first mismatches):\n{}",
-        diverged.join("\n")
-    );
+    assert_fixture(&fixture(), &actual, "run sequences");
+}
+
+/// Every sequence twice on a machine like the fixture's that records no
+/// commit trace, reset in between, so its memo of runs replays the
+/// second pass's halting programs. With the commit trace of the fixture
+/// machine's run put back into each result, both passes render the
+/// fixture.
+#[test]
+fn a_warm_machine_replays_the_fixture() {
+    let mut passes = [String::new(), String::new()];
+    for config in configs() {
+        let runs = runs(&config);
+        let mut recording = config.build();
+        let traces: Vec<_> = runs
+            .iter()
+            .map(|(_, program, _)| recording.run(3, program).map(|r| r.trace))
+            .collect();
+        let config = Config {
+            core: CoreConfig {
+                record_commit_trace: false,
+                ..config.core
+            },
+            ..config
+        };
+        let mut warm = config.build();
+        for (pass, text) in passes.iter_mut().enumerate() {
+            if pass > 0 {
+                config.reset(&mut warm);
+            }
+            for ((run, program, ending), trace) in runs.iter().zip(&traces) {
+                let mut result = warm.run(3, program);
+                if let (Ok(r), Ok(trace)) = (&mut result, trace) {
+                    r.trace.clone_from(trace);
+                }
+                *text += &line(&warm, config.name, run, &result, *ending);
+            }
+        }
+    }
+    let expected = fixture();
+    for (pass, text) in passes.iter().enumerate() {
+        assert_fixture(&expected, text, &format!("pass {pass} on a warm machine"));
+    }
 }

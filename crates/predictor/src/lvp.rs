@@ -186,8 +186,12 @@ impl ValuePredictor for Lvp {
                 e.value = actual;
                 e.confidence = 1;
             }
-            e.vhist.insert(0, actual);
-            e.vhist.truncate(cfg.vhist_depth);
+            // Drop the oldest value first, so the history never
+            // outgrows the capacity it was allocated with.
+            e.vhist.truncate(cfg.vhist_depth.saturating_sub(1));
+            if cfg.vhist_depth > 0 {
+                e.vhist.insert(0, actual);
+            }
         } else {
             self.evict_if_full();
             self.table.insert(
@@ -198,7 +202,13 @@ impl ValuePredictor for Lvp {
                     confidence: 1,
                     usefulness: 0,
                     value: actual,
-                    vhist: vec![actual],
+                    vhist: {
+                        // A new entry's history holds its first value
+                        // even at depth 0, until the next training.
+                        let mut vhist = Vec::with_capacity(cfg.vhist_depth.max(1));
+                        vhist.push(actual);
+                        vhist
+                    },
                     seq: self.next_seq,
                 },
             );
@@ -352,6 +362,30 @@ mod tests {
         }
         let view = vp.entry_view(&c).unwrap();
         assert_eq!(view.vhist, vec![6, 5, 4, 3]);
+    }
+
+    #[test]
+    fn vhist_keeps_the_newest_values_at_every_depth() {
+        for depth in 0..6 {
+            let mut vp = Lvp::new(LvpConfig {
+                vhist_depth: depth,
+                ..LvpConfig::default()
+            });
+            let c = ctx(0x40);
+            // The history as a new entry's `[first]`, then each value
+            // pushed to the front and the history cut to `depth`.
+            let mut model: Vec<u64> = Vec::new();
+            for (i, v) in [7u64, 7, 8, 9, 9, 10, 11, 12].into_iter().enumerate() {
+                vp.train(&c, v, None);
+                if i == 0 {
+                    model = vec![v];
+                } else {
+                    model.insert(0, v);
+                    model.truncate(depth);
+                }
+                assert_eq!(vp.entry_view(&c).unwrap().vhist, model, "depth {depth}");
+            }
+        }
     }
 
     #[test]
